@@ -30,7 +30,6 @@ from .sampling import (
 from .ridgelet import (
     CollapsedField,
     RadialQuadrature,
-    collapsed_ridgelet,
     prune_dictionary,
     reconstruct_from_crf,
     ridgelet_transform,

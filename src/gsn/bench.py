@@ -138,7 +138,6 @@ class ExperimentConfig:
     n_restarts: int = 10
     seed: int = 0
     quad_r_max: float = 40.0
-    quad_n_nodes: int = 400
     threads: int = 1
     notes: tuple = ()
 
@@ -149,11 +148,13 @@ class ExperimentConfig:
             raise ValueError("n_restarts must be >= 1")
         if not 0.0 <= self.prune_threshold < 1.0:
             raise ValueError("prune_threshold must lie in [0, 1)")
+        if not self.quad_r_max > 0.0:
+            raise ValueError("quad_r_max must be positive")
         object.__setattr__(self, "notes", tuple(self.notes))
 
     @property
     def quadrature(self) -> RadialQuadrature:
-        return RadialQuadrature(self.quad_r_max, self.quad_n_nodes)
+        return RadialQuadrature(self.quad_r_max)
 
     def to_dict(self) -> dict:
         doc = asdict(self)

@@ -54,7 +54,7 @@ _CONFIG_FIELDS = {
     "epochs": int, "gsn_batch": int, "random_batch": int,
     "initial_lr": float, "decay_rate": float,
     "n_restarts": int, "seed": int, "threads": int,
-    "quad_r_max": float, "quad_n_nodes": int,
+    "quad_r_max": float,
     "node_counts": list,
 }
 
@@ -91,8 +91,7 @@ def build_experiment_config(args) -> bench.ExperimentConfig:
 
     overrides = {}
     for key in ("n_train", "n_val", "n_test", "dict_size", "prune_threshold",
-                "drop_tol", "max_iter", "n_nodes", "n_restarts",
-                "quad_r_max", "quad_n_nodes"):
+                "drop_tol", "max_iter", "n_nodes", "n_restarts", "quad_r_max"):
         if key in doc:
             overrides[key] = doc[key]
     if "prune" in doc:
@@ -168,9 +167,12 @@ def cmd_dict(args) -> int:
 
 
 def cmd_ridgelet(args) -> int:
+    try:
+        quad = ridgelet.RadialQuadrature(args.r_max)
+    except ValueError as exc:
+        raise CliError(f"invalid --r-max: {exc}") from exc
     train_set = sampling.load_dataset_csv(_require_file(args.train, "training set"))
     directions = sampling.load_directions_csv(_require_file(args.directions, "directions"))
-    quad = ridgelet.RadialQuadrature(args.r_max, args.quad_nodes)
     fld = ridgelet.collapsed_field(train_set, directions, quad, threads=args.threads or default_threads())
     ridgelet.save_field_csv(fld, args.out)
     print(f"wrote collapsed transform for {len(directions)} directions -> {args.out}")
@@ -323,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ridgelet", help="collapsed transform over sampled directions")
     p.add_argument("--train", required=True)
     p.add_argument("--directions", required=True)
-    p.add_argument("--r-max", type=float, default=20.0)
-    p.add_argument("--quad-nodes", type=int, default=200)
+    p.add_argument("--r-max", type=float, default=bench.ExperimentConfig.quad_r_max)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_ridgelet)
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--dict", required=True)
     p.add_argument("--field", required=True)
-    p.add_argument("--threshold", type=float, default=1e-3)
+    p.add_argument("--threshold", type=float, default=bench.ExperimentConfig.prune_threshold)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_prune)
 

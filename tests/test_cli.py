@@ -6,7 +6,7 @@ import pytest
 from gsn import bench, cli
 from gsn.bench import PipelineError
 from gsn.core import load_network
-from gsn.sampling import load_dataset_csv
+from gsn.sampling import load_dataset_csv, load_dictionary_csv
 
 
 def run_cli(*argv):
@@ -114,14 +114,15 @@ def test_stage_idempotence(tmp_path):
     assert (out / "train.csv").read_bytes() == first
 
 
-def test_stage_chain_matches_bench(tmp_path):
-    """sample -> dict -> greedy -> fit reproduces the bench manifest numbers."""
+def check_stage_chain_matches_bench(tmp_path, prune):
+    """sample -> dict [-> ridgelet -> prune] -> greedy -> fit, with default
+    stage flags, reproduces the bench manifest numbers."""
     cfgp = write_tiny_config(tmp_path)
     bench_out = tmp_path / "bench"
     assert run_cli("bench", "ex1", "--seed", "3", "--out", str(bench_out),
-                   "--no-prune", "--epochs", "0", "--restarts", "1",
-                   "--threads", "1", "--config", str(cfgp)) == 0
-    doc = manifest_in(bench_out)
+                   "--epochs", "0", "--restarts", "1", "--threads", "1",
+                   "--config", str(cfgp), *([] if prune else ["--no-prune"])) == 0
+    results = manifest_in(bench_out)["results"]
 
     stage = tmp_path / "stage"
     assert run_cli("sample", "ex1", "--seed", "3", "--out", str(stage),
@@ -129,9 +130,18 @@ def test_stage_chain_matches_bench(tmp_path):
     assert run_cli("dict", "--train", str(stage / "train.csv"),
                    "--directions", str(stage / "directions.csv"),
                    "--out", str(stage / "dictionary.csv")) == 0
+    dict_path = stage / "dictionary.csv"
+    if prune:
+        assert run_cli("ridgelet", "--train", str(stage / "train.csv"),
+                       "--directions", str(stage / "directions.csv"),
+                       "--threads", "1", "--out", str(stage / "field.csv")) == 0
+        assert run_cli("prune", "--train", str(stage / "train.csv"),
+                       "--dict", str(dict_path), "--field", str(stage / "field.csv"),
+                       "--out", str(stage / "pruned.csv")) == 0
+        dict_path = stage / "pruned.csv"
     assert run_cli("greedy", "--train", str(stage / "train.csv"),
                    "--val", str(stage / "val.csv"),
-                   "--dict", str(stage / "dictionary.csv"),
+                   "--dict", str(dict_path),
                    "--max-iter", "6",
                    "--out", str(stage / "path.csv"),
                    "--nodes-out", str(stage / "nodes.json")) == 0
@@ -139,12 +149,44 @@ def test_stage_chain_matches_bench(tmp_path):
                    "--nodes", str(stage / "nodes.json"),
                    "--out", str(stage / "network.json")) == 0
 
+    train_set = load_dataset_csv(stage / "train.csv")
+    assert load_dictionary_csv(dict_path, train_set).n_atoms == results["dictionary_size_after_prune"]
     nodes_doc = json.loads((stage / "nodes.json").read_text())
-    assert nodes_doc["selected_nodes"] == doc["results"]["selected_nodes"]
+    assert nodes_doc["selected_nodes"] == results["selected_nodes"]
     net = load_network(stage / "network.json")
-    test_set = load_dataset_csv(stage / "test.csv")
-    err = bench.compute_errors(net, test_set)
-    assert err.rel_l2 == doc["results"]["errors"]["gsn_init"]["rel_l2"]
+    err = bench.compute_errors(net, load_dataset_csv(stage / "test.csv"))
+    assert err.rel_l2 == results["errors"]["gsn_init"]["rel_l2"]
+    return results
+
+
+def test_stage_chain_matches_bench(tmp_path):
+    check_stage_chain_matches_bench(tmp_path, prune=False)
+
+
+def test_stage_chain_matches_bench_pruned(tmp_path):
+    results = check_stage_chain_matches_bench(tmp_path, prune=True)
+    assert results["dictionary_size_after_prune"] < results["dictionary_size_before_prune"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-prune"]])
+def test_config_nonpositive_r_max_exits_2(tmp_path, capsys, extra):
+    cfgp = write_tiny_config(tmp_path, quad_r_max=-1)
+    code = run_cli("bench", "ex1", "--out", str(tmp_path / "out"), "--config", str(cfgp),
+                   "--epochs", "0", "--restarts", "1", "--threads", "1", *extra)
+    assert code == 2
+    assert "quad_r_max" in capsys.readouterr().err
+
+
+def test_ridgelet_stage_nonpositive_r_max_exits_2(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert run_cli("sample", "ex1", "--seed", "0", "--out", str(out),
+                   "--config", str(write_tiny_config(tmp_path))) == 0
+    code = run_cli("ridgelet", "--train", str(out / "train.csv"),
+                   "--directions", str(out / "directions.csv"),
+                   "--r-max", "0", "--out", str(out / "field.csv"))
+    assert code == 2
+    assert "r-max" in capsys.readouterr().err
+    assert not (out / "field.csv").exists()
 
 
 def test_train_stage(tmp_path):

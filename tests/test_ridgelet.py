@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from gsn import bench
-from gsn.core import Dataset
+from gsn.core import Dataset, Direction, directions_to_arrays
 from gsn.ridgelet import (
     CollapsedField,
     RadialQuadrature,
+    _radial_profile,
     collapsed_field,
-    collapsed_ridgelet,
     load_field_csv,
     prune_dictionary,
     reconstruct_batch,
@@ -22,7 +22,7 @@ from gsn.ridgelet import (
     sphere_surface_area,
     tau,
 )
-from gsn.sampling import build_dictionary, generate_dataset, sample_circle
+from gsn.sampling import build_dictionary, generate_dataset, sample_circle, sample_gaussian_sphere
 
 from conftest import vector_dataset
 
@@ -93,14 +93,13 @@ def test_ridgelet_field_grid_shape():
 
 def test_collapsed_zero_function():
     ds = vector_dataset(np.zeros(9))
-    for dr in sample_circle(5, seed=0):
-        assert collapsed_ridgelet(ds, dr) == 0.0
+    assert np.all(collapsed_field(ds, sample_circle(5, seed=0)).values == 0.0)
 
 
 def test_collapsed_linearity(rng):
     vals = rng.standard_normal(13)
     other = rng.standard_normal(13)
-    quad_rule = RadialQuadrature(20.0, 100)
+    quad_rule = RadialQuadrature(20.0)
     dirs = sample_circle(6, seed=1)
     a = collapsed_field(vector_dataset(vals), dirs, quad_rule).values
     b = collapsed_field(vector_dataset(other), dirs, quad_rule).values
@@ -108,13 +107,90 @@ def test_collapsed_linearity(rng):
     assert np.allclose(ab, a + b, rtol=1e-10, atol=1e-12)
 
 
-def test_collapsed_self_convergence_ex1():
-    target = bench.get_target("ex1")
-    ds = generate_dataset(target, 50, seed=0, layout="grid")
-    dirs = sample_circle(32, seed=2)
-    coarse = collapsed_field(ds, dirs, RadialQuadrature(40.0, 400)).values
-    fine = collapsed_field(ds, dirs, RadialQuadrature(40.0, 800)).values
-    assert np.abs(coarse - fine).max() <= 0.01 * np.abs(fine).max()
+def _trapezoid_field(dataset, directions, r_max, n_nodes):
+    """Collapsed transform by the trapezoid rule on n_nodes equispaced radii in (0, r_max].
+
+    The integrand carries an r^(d+1) factor, so the r = 0 endpoint adds nothing.
+    """
+    h = r_max / n_nodes
+    r = h * np.arange(1, n_nodes + 1)
+    w = np.full(n_nodes, h)
+    w[-1] = h / 2.0
+    w *= r ** (dataset.dim + 1)
+    A, b = directions_to_arrays(directions)
+    S = A @ dataset.inputs.T + b[:, None]
+    f = dataset.targets * (dataset.volume / dataset.n_points)
+    return np.array([(tau(np.outer(r, s), dataset.dim) @ f) @ w for s in S])
+
+
+def _cube_dataset(rng, dim, n):
+    inputs = rng.uniform(-1.0, 1.0, (n, dim))
+    return Dataset(inputs, np.sin(inputs.sum(axis=1)) + 0.5, [[-1.0, 1.0]] * dim)
+
+
+def test_collapsed_matches_dense_trapezoid():
+    for dim in range(1, 6):
+        rng = np.random.default_rng(dim)
+        ds = _cube_dataset(rng, dim, 30)
+        dirs = sample_gaussian_sphere(dim, 24, seed=dim)
+        # the rule's own O(h^2) error is 1.7e-8 of the peak at d = 5 here
+        # (6.6e-8 with 8000 nodes); the former 400-node rule was off by ~7e-6
+        want = _trapezoid_field(ds, dirs, 40.0, 16000)
+        got = collapsed_field(ds, dirs, RadialQuadrature(40.0)).values
+        assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max(), dim
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_collapsed_on_hyperplane_is_exact(dim):
+    # a = e1, b = 0 and every x1 = 0: s = 0 exactly at every point, where the
+    # ray integral is -R^(d+2) * 3 / ((d+2) c)
+    rng = np.random.default_rng(dim)
+    inputs = rng.uniform(-1.0, 1.0, (7, dim))
+    inputs[:, 0] = 0.0
+    ds = Dataset(inputs, rng.uniform(0.5, 1.5, 7), [[-1.0, 1.0]] * dim)
+    e1 = Direction(np.eye(dim)[0], 0.0)
+    r_max = 40.0
+    c = 2.0 * (2.0 * math.pi) ** (dim - 0.5)
+    want = -r_max ** (dim + 2) * 3.0 / ((dim + 2) * c) * ds.targets.sum() * ds.volume / 7
+    got = collapsed_field(ds, [e1], RadialQuadrature(r_max)).values[0]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_radial_profile_continuous_through_zero(dim):
+    # small-X series g_d = 3/(d+2) - 7.5 X^2/(d+4) + O(X^4), across the point
+    # where x = X^2/2 stops being raised to keep x^-a finite; the bound is a
+    # few hundred ulps, the incomplete gamma's own accuracy at tiny x
+    X = np.array([0.0, 1e-12, 1.414e-9, 1.415e-9, 1e-8, 1e-6, 1e-4])
+    series = 3.0 / (dim + 2) - 7.5 * X**2 / (dim + 4)
+    assert np.abs(_radial_profile(X, dim) - series).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_radial_profile_matches_adaptive_quadrature(dim):
+    for X in (0.05, 0.7, 2.0, 3.9, 4.1, 9.0, 60.0):
+        moment, _ = quad(lambda u: u ** (dim + 1) * (u**4 - 6 * u**2 + 3) * math.exp(-u * u / 2),
+                         0.0, X, limit=200)
+        assert _radial_profile(np.array([X]), dim)[0] == pytest.approx(
+            moment / X ** (dim + 2), rel=1e-10, abs=1e-14)
+
+
+def test_d1_field_vanishes_away_from_hyperplane():
+    # int_0^inf r^2 tau(r s) dr = 0 for d = 1: points with R|s| large add
+    # nothing, while for d = 2 the same points still contribute
+    X = np.array([0.0, 1.0, 3.0, 10.0])
+    assert np.allclose(_radial_profile(X, 1), (1.0 - X**2) * np.exp(-X**2 / 2), rtol=1e-15)
+    moment, _ = quad(lambda r: r * r * tau(0.7 * r, 1), 0.0, np.inf)
+    assert abs(moment) <= 1e-12
+    far = Direction(np.array([1.0]), 0.0)
+    ds = Dataset(np.array([[-0.9], [-0.5], [0.5], [0.8]]), np.ones(4), [[-1.0, 1.0]])
+    near = Dataset(np.array([[0.0]]), np.ones(1), [[-1.0, 1.0]])
+    assert abs(collapsed_field(ds, [far]).values[0]) <= 1e-60 * abs(collapsed_field(near, [far]).values[0])
+    # d = 2: g_2(X) ~ 6 / X^4, an algebraic tail
+    far2 = Direction(np.array([1.0, 0.0]), 0.0)
+    ds2 = Dataset(np.array([[0.5, 0.1], [0.8, -0.3]]), np.ones(2), [[-1.0, 1.0]] * 2)
+    near2 = Dataset(np.array([[0.0, 0.2]]), np.ones(1), [[-1.0, 1.0]] * 2)
+    assert abs(collapsed_field(ds2, [far2]).values[0]) >= 1e-5 * abs(collapsed_field(near2, [far2]).values[0])
 
 
 def test_collapsed_relabeling_invariance(rng):
