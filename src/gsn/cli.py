@@ -47,6 +47,28 @@ def _require_file(path: str, role: str) -> str:
     return path
 
 
+def available_memory_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def check_dictionary_fits(n_train: int, n_directions: int) -> None:
+    """Refuse, before allocating it, a feature matrix larger than free memory."""
+    need = n_train * n_directions * 8
+    avail = available_memory_bytes()
+    if avail is not None and need > avail:
+        raise CliError(f"dictionary of {n_train} points x {n_directions} directions needs "
+                       f"{need / 2**30:.2f} GiB of features; only {avail / 2**30:.2f} GiB "
+                       f"of memory is available")
+
+
 _CONFIG_FIELDS = {
     "target": str, "n_train": int, "n_val": int, "n_test": int,
     "dict_size": int, "prune": bool, "prune_threshold": float,
@@ -131,6 +153,7 @@ def build_experiment_config(args) -> bench.ExperimentConfig:
 
 def cmd_bench(args) -> int:
     cfg = build_experiment_config(args)
+    check_dictionary_fits(cfg.n_train, cfg.dict_size)
     os.makedirs(args.out, exist_ok=True)
     if cfg.target_id == "ex6":
         doc = load_config_file(args.config) if args.config else {}
@@ -160,6 +183,7 @@ def cmd_sample(args) -> int:
 def cmd_dict(args) -> int:
     train_set = sampling.load_dataset_csv(_require_file(args.train, "training set"))
     directions = sampling.load_directions_csv(_require_file(args.directions, "directions"))
+    check_dictionary_fits(train_set.n_points, len(directions))
     dictionary = sampling.build_dictionary(train_set, directions, args.drop_tol)
     sampling.save_dictionary_csv(dictionary, args.out)
     print(f"kept {dictionary.n_atoms} of {len(directions)} atoms -> {args.out}")
@@ -318,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dict", help="build the atom dictionary from artifacts")
     p.add_argument("--train", required=True)
     p.add_argument("--directions", required=True)
-    p.add_argument("--drop-tol", type=float, default=1e-12)
+    p.add_argument("--drop-tol", type=float, default=bench.ExperimentConfig.drop_tol)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_dict)
 

@@ -127,11 +127,20 @@ class Atom:
             raise ValueError("atom features must have unit l2 norm")
 
 
+# Columns per block of the Dictionary unit-norm check, so that the check's
+# temporaries stay small next to the feature matrix.
+_NORM_CHECK_COLUMNS = 128
+
+
 @dataclass(frozen=True)
 class Dictionary:
     """Ordered set of candidate atoms plus the full sampled direction list.
 
     ``features`` holds the atoms column-wise, shape (n_train, n_atoms).
+    The sampling builders store the atoms in one atom-major buffer of shape
+    (n_atoms, n_train), each atom written once, and hand out its transpose:
+    ``features`` is then a Fortran-ordered view, and greedy's
+    ``features.T @ q`` GEMVs read that buffer row by row.
     ``source_indices[j]`` is the index of atom j in ``source_directions``,
     which also records directions whose atoms were dropped as dead.
     """
@@ -153,8 +162,8 @@ class Dictionary:
             raise ValueError("source_indices must align with atoms")
         if len(set(self.source_indices)) != len(self.source_indices):
             raise ValueError("source_indices must be unique")
-        if features.shape[1]:
-            norms = np.linalg.norm(features, axis=0)
+        for lo in range(0, features.shape[1], _NORM_CHECK_COLUMNS):
+            norms = np.linalg.norm(features[:, lo:lo + _NORM_CHECK_COLUMNS], axis=0)
             if np.any(np.abs(norms - 1.0) > 1e-10):
                 raise ValueError("all atom feature columns must have unit norm")
         object.__setattr__(self, "features", features)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Dictionary, Direction, preactivations, relu
+from .core import Dataset, Dictionary, Direction, directions_to_arrays, preactivations
 
 # Fixed purpose -> sub-stream index table. Changing it changes every seeded
 # output, so it is part of the on-disk format.
@@ -173,6 +173,38 @@ def generate_dataset(target, n_points: int, seed: int, layout: str = "random-uni
     return Dataset(inputs, targets, bounds)
 
 
+# Directions per block of the dictionary build. The block's preactivations
+# are the only temporaries; they stay small next to the (M, n_train) buffer.
+_BLOCK = 128
+
+
+def _atom_rows(inputs: np.ndarray, A: np.ndarray, b: np.ndarray, drop_tol: float):
+    """Normalized ReLU atoms, each written once into one atom-major buffer.
+
+    Returns (rows, norms, kept): rows[k] is the unit-norm activation vector
+    of direction kept[k] and norms[k] its raw l2 norm. Directions whose raw
+    norm is <= drop_tol are skipped; the rest keep their order. The rows of
+    skipped directions at the end of the buffer are never written, so they
+    take address space but no resident memory.
+    """
+    m = A.shape[0]
+    rows = np.empty((m, inputs.shape[0]))
+    norms = np.empty(m)
+    kept = np.empty(m, dtype=np.intp)
+    k = 0
+    for lo in range(0, m, _BLOCK):
+        z = preactivations(inputs, A[lo:lo + _BLOCK], b[lo:lo + _BLOCK])
+        np.maximum(z, 0.0, out=z)
+        z_norms = np.linalg.norm(z, axis=0)
+        live = np.flatnonzero(z_norms > drop_tol)
+        n = live.size
+        np.divide(z[:, live].T, z_norms[live, None], out=rows[k:k + n])
+        norms[k:k + n] = z_norms[live]
+        kept[k:k + n] = lo + live
+        k += n
+    return rows[:k], norms[:k], kept[:k]
+
+
 def build_dictionary(dataset: Dataset, directions, drop_tol: float = 1e-12) -> Dictionary:
     """Normalized ReLU activation vectors for each direction.
 
@@ -184,20 +216,14 @@ def build_dictionary(dataset: Dataset, directions, drop_tol: float = 1e-12) -> D
         raise ValueError("need at least one direction")
     if directions[0].dim != dataset.dim:
         raise ValueError("direction dimension must match dataset dimension")
-    A = np.stack([dr.a for dr in directions])
-    b = np.array([dr.b for dr in directions])
-    feats = relu(preactivations(dataset.inputs, A, b))   # (n_train, M)
-    norms = np.linalg.norm(feats, axis=0)
-    keep = norms > drop_tol
-    if not np.any(keep):
+    rows, norms, kept = _atom_rows(dataset.inputs, *directions_to_arrays(directions), drop_tol)
+    if not kept.size:
         raise ValueError("every sampled direction is dead on the training set")
-    kept_idx = np.flatnonzero(keep)
-    feats = feats[:, kept_idx] / norms[kept_idx]
     return Dictionary(
-        features=feats,
-        raw_norms=norms[kept_idx],
-        directions=tuple(directions[j] for j in kept_idx),
-        source_indices=tuple(int(j) for j in kept_idx),
+        features=rows.T,
+        raw_norms=norms,
+        directions=tuple(directions[j] for j in kept),
+        source_indices=tuple(int(j) for j in kept),
         source_directions=tuple(directions),
     )
 
@@ -289,16 +315,14 @@ def load_dictionary_csv(path, dataset: Dataset) -> Dictionary:
                 entries.append((int(row[0]), Direction(np.asarray(vals[:-2]), vals[-2])))
     if not entries:
         raise ValueError(f"empty dictionary CSV {path}")
-    A = np.stack([dr.a for _, dr in entries])
-    b = np.array([dr.b for _, dr in entries])
-    feats = relu(preactivations(dataset.inputs, A, b))
-    norms = np.linalg.norm(feats, axis=0)
-    if np.any(norms == 0.0):
+    directions = tuple(dr for _, dr in entries)
+    rows, norms, kept = _atom_rows(dataset.inputs, *directions_to_arrays(directions), 0.0)
+    if kept.size != len(directions):
         raise ValueError("dictionary CSV contains atoms dead on this training set")
     return Dictionary(
-        features=feats / norms,
+        features=rows.T,
         raw_norms=norms,
-        directions=tuple(dr for _, dr in entries),
+        directions=directions,
         source_indices=tuple(i for i, _ in entries),
-        source_directions=tuple(dr for _, dr in entries),
+        source_directions=directions,
     )

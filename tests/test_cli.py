@@ -240,3 +240,54 @@ def test_gsn_threads_env(monkeypatch):
     monkeypatch.setenv("GSN_THREADS", "zero")
     with pytest.raises(cli.CliError):
         cli.default_threads()
+
+
+def test_available_memory_reader():
+    avail = cli.available_memory_bytes()
+    assert avail is None or avail > 0
+
+
+def test_bench_refuses_dictionary_beyond_memory(tmp_path, capsys, monkeypatch):
+    def never(cfg):
+        raise AssertionError("the pipeline must not start")
+
+    monkeypatch.setattr(cli, "available_memory_bytes", lambda: 10_000)
+    monkeypatch.setattr(bench, "run_experiment", never)
+    out = tmp_path / "out"
+    code = run_cli("bench", "ex1", "--out", str(out), "--config", str(write_tiny_config(tmp_path)))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "16 points x 150 directions" in err and "0.00 GiB" in err
+    assert not out.exists()
+
+
+def test_bench_sweep_refuses_dictionary_beyond_memory(tmp_path, capsys, monkeypatch):
+    def never(cfg, counts):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli, "available_memory_bytes", lambda: 2**30)
+    monkeypatch.setattr(bench, "node_sweep", never)
+    assert run_cli("bench", "ex6", "--out", str(tmp_path / "out")) == 2
+    assert "10000 points x 50000 directions needs 3.73 GiB" in capsys.readouterr().err
+
+
+def test_dict_refuses_dictionary_beyond_memory(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "s"
+    assert run_cli("sample", "ex1", "--seed", "0", "--out", str(out),
+                   "--config", str(write_tiny_config(tmp_path))) == 0
+    monkeypatch.setattr(cli, "available_memory_bytes", lambda: 10_000)
+    def never(*args):
+        raise AssertionError("the dictionary must not be built")
+
+    monkeypatch.setattr(cli.sampling, "build_dictionary", never)
+    code = run_cli("dict", "--train", str(out / "train.csv"),
+                   "--directions", str(out / "directions.csv"),
+                   "--out", str(out / "dictionary.csv"))
+    assert code == 2
+    assert "GiB" in capsys.readouterr().err
+    assert not (out / "dictionary.csv").exists()
+
+
+def test_dict_drop_tol_default_matches_bench():
+    args = cli.build_parser().parse_args(["dict", "--train", "t", "--directions", "d", "--out", "o"])
+    assert args.drop_tol == bench.ExperimentConfig.drop_tol

@@ -1,21 +1,24 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gsn import bench
-from gsn.core import Dataset
+from gsn import bench, sampling
+from gsn.core import Dataset, Direction, directions_to_arrays, preactivations, relu
 from gsn.sampling import (
     SamplerConfig,
     build_dictionary,
     generate_dataset,
     golden_spiral,
     load_dataset_csv,
+    load_dictionary_csv,
     load_directions_csv,
     sample_circle,
     sample_directions,
     sample_gaussian_sphere,
     save_dataset_csv,
+    save_dictionary_csv,
     save_directions_csv,
     substream,
     substream_seed,
@@ -145,7 +148,6 @@ def test_build_dictionary_hand_case():
 
 def test_build_dictionary_all_dead_errors():
     ds = Dataset(np.array([[0.5]]), np.array([1.0]), [[0, 1]])
-    from gsn.core import Direction
     down = [Direction(np.array([0.0]), -1.0)]
     with pytest.raises(ValueError):
         build_dictionary(ds, down)
@@ -168,3 +170,66 @@ def test_directions_csv_round_trip(tmp_path):
     save_directions_csv(dirs, path)
     back = load_directions_csv(path)
     assert all(np.array_equal(x.a, y.a) and x.b == y.b for x, y in zip(dirs, back))
+
+
+def blocked_case():
+    """2-d data and a direction list that is not a whole number of build
+    blocks, with dead directions in the first, a middle and the last block."""
+    ds = generate_dataset(bench.get_target("ex3"), 40, seed=6)
+    m = 2 * sampling._BLOCK + 37
+    dirs = sample_gaussian_sphere(2, m, seed=8)
+    dead = (5, sampling._BLOCK + 60, m - 1)
+    for j in dead:
+        dirs[j] = Direction(np.zeros(2), -1.0)
+    return ds, dirs, dead
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+def test_build_dictionary_matches_unblocked_reference():
+    ds, dirs, dead = blocked_case()
+    dic = build_dictionary(ds, dirs)
+    feats = relu(preactivations(ds.inputs, *directions_to_arrays(dirs)))
+    norms = np.linalg.norm(feats, axis=0)
+    kept = np.flatnonzero(norms > 1e-12)
+    assert not set(dead) & set(kept.tolist())
+    assert np.array_equal(bits(dic.features), bits(feats[:, kept] / norms[kept]))
+    assert np.array_equal(bits(dic.raw_norms), bits(norms[kept]))
+    assert dic.source_indices == tuple(kept.tolist())
+    assert dic.features.flags.f_contiguous
+
+
+def test_dictionary_csv_round_trip_same_bits(tmp_path):
+    ds, dirs, _ = blocked_case()
+    dic = build_dictionary(ds, dirs)
+    path = tmp_path / "dict.csv"
+    save_dictionary_csv(dic, path)
+    back = load_dictionary_csv(path, ds)
+    assert np.array_equal(bits(back.features), bits(dic.features))
+    assert np.array_equal(bits(back.raw_norms), bits(dic.raw_norms))
+    assert back.source_indices == dic.source_indices
+    assert back.features.flags.f_contiguous
+
+
+def test_load_dictionary_csv_rejects_dead_atoms(tmp_path):
+    ds, dirs, _ = blocked_case()
+    path = tmp_path / "dict.csv"
+    save_dictionary_csv(build_dictionary(ds, dirs), path)
+    far = Dataset(ds.inputs + 100.0, ds.targets, ds.domain_bounds + 100.0)
+    with pytest.raises(ValueError, match="dead"):
+        load_dictionary_csv(path, far)
+
+
+def test_build_dictionary_peak_memory():
+    n_train, m = 1000, 3000
+    ds = generate_dataset(bench.get_target("ex5"), n_train, seed=2)
+    dirs = sample_gaussian_sphere(4, m, seed=2)
+    tracemalloc.start()
+    try:
+        build_dictionary(ds, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n_train * m * 8
