@@ -9,13 +9,11 @@ scale, and the CLI exposes every stage.
 """
 
 from .core import (
-    Atom,
     Dataset,
     Dictionary,
-    Direction,
     ShallowNetwork,
     batch_eval,
-    network_eval,
+    check_directions,
     relu,
     rescale_node,
 )
@@ -31,8 +29,6 @@ from .ridgelet import (
     CollapsedField,
     RadialQuadrature,
     prune_dictionary,
-    reconstruct_from_crf,
-    ridgelet_transform,
     tau,
 )
 from .greedy import GreedyPath, GreedyState, init_state, oga_run, oga_step, select_model

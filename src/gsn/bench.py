@@ -241,7 +241,7 @@ def make_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
     return train_set, val_set, test_set
 
 
-def make_directions(cfg: ExperimentConfig) -> list:
+def make_directions(cfg: ExperimentConfig) -> np.ndarray:
     target = get_target(cfg.target_id)
     sampler = sampling.SamplerConfig(
         dimension=target.dimension,
@@ -263,8 +263,7 @@ class GsnBranch:
     dictionary_size_after: int
     prune_degenerate: bool
     path: greedy.GreedyPath
-    path_directions: tuple          # direction per path record, selection order
-    path_raw_norms: np.ndarray
+    path_directions: np.ndarray     # (len(path), d+1): row per path record, selection order
     selected_nodes: int
     init_net: ShallowNetwork
     init_errors: ErrorSummary
@@ -316,8 +315,7 @@ def run_gsn_pipeline(cfg: ExperimentConfig) -> GsnBranch:
         timings)
     if not path.records:
         raise PipelineError("greedy", ValueError("greedy produced an empty path"))
-    path_dirs = tuple(dictionary.directions[j] for j in path.atom_indices)
-    path_norms = dictionary.raw_norms[path.atom_indices].copy()
+    path_dirs = dictionary.directions[path.atom_indices]
     n_nodes = cfg.n_nodes if cfg.n_nodes is not None else greedy.select_model(path)
     n_nodes = min(n_nodes, len(path.records))
 
@@ -333,7 +331,7 @@ def run_gsn_pipeline(cfg: ExperimentConfig) -> GsnBranch:
         train_set=train_set, val_set=val_set, test_set=test_set,
         dictionary_size_before=size_before, dictionary_size_after=dictionary.n_atoms,
         prune_degenerate=degenerate,
-        path=path, path_directions=path_dirs, path_raw_norms=path_norms,
+        path=path, path_directions=path_dirs,
         selected_nodes=n_nodes,
         init_net=init_net, init_errors=init_errors,
         trained_net=trained_net, trained_errors=trained_errors,
@@ -359,7 +357,7 @@ def run_random_baseline(cfg: ExperimentConfig, n_nodes: int,
         best, records, curve = train.multi_restart(
             n_nodes, train_set, val_set, test_set,
             cfg.random_train, init, cfg.n_restarts)
-    except GsnError as exc:
+    except (GsnError, ValueError) as exc:
         raise PipelineError("baseline", exc) from exc
     return RandomBranch(
         best_net=best,

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import bench, greedy, ridgelet, sampling, solve, train
-from .core import GsnError, load_network, save_network
+from .core import GsnError, directions_from_json, load_network, save_network
 from .bench import PipelineError
 
 EXIT_OK = 0
@@ -59,14 +59,38 @@ def available_memory_bytes() -> int | None:
     return None
 
 
-def check_dictionary_fits(n_train: int, n_directions: int) -> None:
-    """Refuse, before allocating it, a feature matrix larger than free memory."""
-    need = n_train * n_directions * 8
+def check_dictionary_fits(n_train: int, n_directions: int, copies: int = 1) -> None:
+    """Refuse, before allocating them, feature matrices larger than free memory.
+
+    ``copies`` is 2 where pruning copies the kept columns while the full
+    dictionary is still alive.
+    """
+    need = copies * n_train * n_directions * 8
     avail = available_memory_bytes()
     if avail is not None and need > avail:
-        raise CliError(f"dictionary of {n_train} points x {n_directions} directions needs "
+        held = " (with its pruned copy)" if copies == 2 else ""
+        raise CliError(f"dictionary of {n_train} points x {n_directions} directions{held} needs "
                        f"{need / 2**30:.2f} GiB of features; only {avail / 2**30:.2f} GiB "
                        f"of memory is available")
+
+
+def _load(loader, path: str, role: str, *args):
+    """Run an artifact loader; a malformed file exits 2 with a message naming it."""
+    try:
+        return loader(_require_file(path, role), *args)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"malformed {role} file {path}: {exc}") from exc
+
+
+def _count_rows(path: str) -> int:
+    with open(path) as fh:
+        return sum(1 for line in fh if line.strip()) - 1
+
+
+def _load_dictionary(path: str, train_set, copies: int = 1):
+    """Dictionary CSV rebuilt on the training set, after checking its features fit in memory."""
+    check_dictionary_fits(train_set.n_points, _load(_count_rows, path, "dictionary"), copies)
+    return _load(sampling.load_dictionary_csv, path, "dictionary", train_set)
 
 
 _CONFIG_FIELDS = {
@@ -93,10 +117,15 @@ def load_config_file(path: str) -> dict:
         if key not in _CONFIG_FIELDS:
             raise CliError(f"unknown config field {key!r}")
         want = _CONFIG_FIELDS[key]
+        if isinstance(value, bool) and want is not bool:
+            raise CliError(f"config field {key!r} must be {want.__name__}, not a boolean")
         if want is float and isinstance(value, int):
             continue
         if not isinstance(value, want):
             raise CliError(f"config field {key!r} must be {want.__name__}")
+    counts = doc.get("node_counts")
+    if counts is not None and not (counts and all(type(n) is int and n > 0 for n in counts)):
+        raise CliError("config field 'node_counts' must be a non-empty list of positive integers")
     return doc
 
 
@@ -153,7 +182,7 @@ def build_experiment_config(args) -> bench.ExperimentConfig:
 
 def cmd_bench(args) -> int:
     cfg = build_experiment_config(args)
-    check_dictionary_fits(cfg.n_train, cfg.dict_size)
+    check_dictionary_fits(cfg.n_train, cfg.dict_size, 2 if cfg.prune else 1)
     os.makedirs(args.out, exist_ok=True)
     if cfg.target_id == "ex6":
         doc = load_config_file(args.config) if args.config else {}
@@ -181,10 +210,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_dict(args) -> int:
-    train_set = sampling.load_dataset_csv(_require_file(args.train, "training set"))
-    directions = sampling.load_directions_csv(_require_file(args.directions, "directions"))
+    train_set = _load(sampling.load_dataset_csv, args.train, "training set")
+    directions = _load(sampling.load_directions_csv, args.directions, "directions", train_set.dim)
     check_dictionary_fits(train_set.n_points, len(directions))
-    dictionary = sampling.build_dictionary(train_set, directions, args.drop_tol)
+    try:
+        dictionary = sampling.build_dictionary(train_set, directions, args.drop_tol)
+    except ValueError as exc:  # no direction, or none live on this training set
+        raise CliError(f"no dictionary from directions file {args.directions}: {exc}") from exc
     sampling.save_dictionary_csv(dictionary, args.out)
     print(f"kept {dictionary.n_atoms} of {len(directions)} atoms -> {args.out}")
     return EXIT_OK
@@ -195,8 +227,8 @@ def cmd_ridgelet(args) -> int:
         quad = ridgelet.RadialQuadrature(args.r_max)
     except ValueError as exc:
         raise CliError(f"invalid --r-max: {exc}") from exc
-    train_set = sampling.load_dataset_csv(_require_file(args.train, "training set"))
-    directions = sampling.load_directions_csv(_require_file(args.directions, "directions"))
+    train_set = _load(sampling.load_dataset_csv, args.train, "training set")
+    directions = _load(sampling.load_directions_csv, args.directions, "directions", train_set.dim)
     fld = ridgelet.collapsed_field(train_set, directions, quad, threads=args.threads or default_threads())
     ridgelet.save_field_csv(fld, args.out)
     print(f"wrote collapsed transform for {len(directions)} directions -> {args.out}")
@@ -206,17 +238,17 @@ def cmd_ridgelet(args) -> int:
 def cmd_prune(args) -> int:
     if not 0.0 <= args.threshold < 1.0:
         raise CliError("invalid threshold, must lie in [0, 1)")
-    train_set = sampling.load_dataset_csv(_require_file(args.train, "training set"))
-    dictionary = sampling.load_dictionary_csv(_require_file(args.dict, "dictionary"), train_set)
-    fld = ridgelet.load_field_csv(_require_file(args.field, "field"))
-    by_source = {tuple(np.append(dr.a, dr.b)): v
-                 for dr, v in zip(fld.directions, fld.values)}
-    try:
-        values = np.array([by_source[tuple(np.append(dr.a, dr.b))]
-                           for dr in dictionary.directions])
-    except KeyError as exc:
-        raise CliError(f"field is missing a dictionary direction: {exc}") from exc
-    sub = ridgelet.CollapsedField(dictionary.directions, values, fld.quadrature)
+    train_set = _load(sampling.load_dataset_csv, args.train, "training set")
+    fld = _load(ridgelet.load_field_csv, args.field, "field")
+    dictionary = _load_dictionary(args.dict, train_set, copies=2)
+    src = dictionary.source_indices
+    if src.min() < 0 or src.max() >= len(fld.values):
+        raise CliError(f"field {args.field} has {len(fld.values)} rows; the dictionary refers "
+                       f"to source rows {src.min()}..{src.max()}")
+    if not np.array_equal(fld.directions[src], dictionary.directions):
+        raise CliError(f"field {args.field} was computed on other directions than "
+                       f"dictionary {args.dict}")
+    sub = ridgelet.CollapsedField(dictionary.directions, fld.values[src])
     pruned = ridgelet.prune_dictionary(dictionary, sub, args.threshold)
     sampling.save_dictionary_csv(pruned, args.out)
     print(f"kept {pruned.n_atoms} of {dictionary.n_atoms} atoms -> {args.out}")
@@ -224,23 +256,23 @@ def cmd_prune(args) -> int:
 
 
 def cmd_greedy(args) -> int:
-    train_set = sampling.load_dataset_csv(_require_file(args.train, "training set"))
-    val_set = sampling.load_dataset_csv(_require_file(args.val, "validation set"))
-    dictionary = sampling.load_dictionary_csv(_require_file(args.dict, "dictionary"), train_set)
+    train_set = _load(sampling.load_dataset_csv, args.train, "training set")
+    val_set = _load(sampling.load_dataset_csv, args.val, "validation set")
+    dictionary = _load_dictionary(args.dict, train_set)
     path = greedy.oga_run(dictionary, train_set, val_set, args.max_iter)
     if not path.records:
         raise CliError("greedy selected nothing; increase --max-iter")
     greedy.save_path_csv(path, args.out)
     n = args.nodes if args.nodes is not None else greedy.select_model(path)
     n = min(n, len(path.records))
+    chosen = path.atom_indices[:n]
     doc = {
         "input_dim": train_set.dim,
         "selected_nodes": n,
-        "directions": [{"a": dictionary.directions[j].a.tolist(),
-                        "b": dictionary.directions[j].b}
-                       for j in path.atom_indices[:n]],
-        "atom_indices": path.atom_indices[:n],
-        "source_indices": [dictionary.source_indices[j] for j in path.atom_indices[:n]],
+        "directions": [{"a": row[:-1], "b": row[-1]}
+                       for row in dictionary.directions[chosen].tolist()],
+        "atom_indices": chosen,
+        "source_indices": dictionary.source_indices[chosen].tolist(),
     }
     with open(args.nodes_out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -249,30 +281,31 @@ def cmd_greedy(args) -> int:
     return EXIT_OK
 
 
-def _load_nodes(path: str):
-    from .core import Direction
-
-    with open(_require_file(path, "nodes")) as fh:
+def _read_nodes(path: str, dim: int) -> np.ndarray:
+    with open(path) as fh:
         doc = json.load(fh)
     for key in ("input_dim", "directions"):
         if key not in doc:
-            raise CliError(f"nodes file missing field {key!r}")
-    return [Direction(np.asarray(n["a"]), n["b"]) for n in doc["directions"]]
+            raise ValueError(f"missing field {key!r}")
+    return directions_from_json(doc["directions"], dim)
 
 
 def cmd_fit(args) -> int:
-    train_set = sampling.load_dataset_csv(_require_file(args.train, "training set"))
-    nodes = _load_nodes(args.nodes)
-    net, _ = solve.refit_network(train_set, nodes)
+    train_set = _load(sampling.load_dataset_csv, args.train, "training set")
+    directions = _load(_read_nodes, args.nodes, "nodes", train_set.dim)
+    net, _ = solve.refit_network(train_set, directions)
     save_network(net, args.out)
     print(f"fitted {net.n_nodes}-node network -> {args.out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    train_set = sampling.load_dataset_csv(_require_file(args.train, "training set"))
-    val_set = sampling.load_dataset_csv(_require_file(args.val, "validation set")) if args.val else None
-    net0 = load_network(_require_file(args.network, "network"))
+    train_set = _load(sampling.load_dataset_csv, args.train, "training set")
+    val_set = _load(sampling.load_dataset_csv, args.val, "validation set") if args.val else None
+    net0 = _load(load_network, args.network, "network")
+    if net0.input_dim != train_set.dim:
+        raise CliError(f"network {args.network} has input dimension {net0.input_dim}; "
+                       f"the training set has {train_set.dim}")
     cfg = train.TrainConfig(
         epochs=args.epochs, batch_size=args.batch or train_set.n_points,
         seed=sampling.substream_seed(args.seed or 0, "shuffle"))

@@ -2,13 +2,21 @@
 
 Values are plain frozen dataclasses over float64 numpy arrays; everything
 here is immutable after construction and safe to share across threads.
+
+A set of M directions (inner weights on the unit sphere S^d in R^(d+1)) is
+one float64 array W of shape (M, d+1): row m is [a_m | b_m] with unit l2
+norm, the same layout as a row of the directions CSV, and W[:, :-1],
+W[:, -1] are views of the a and b parts. ``check_directions`` validates
+such an array; Dictionary, CollapsedField, ShallowNetwork and every loader of
+directions call it.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,33 +48,28 @@ def preactivations(inputs: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarr
     return z
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A unit vector (a, b) on the sphere in R^{d+1}; one candidate node."""
+def check_directions(directions, dim: int | None = None) -> np.ndarray:
+    """A direction set as one validated, C-ordered float64 (M, d+1) array.
 
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=np.float64))
-        if a.ndim != 1 or a.size < 1:
-            raise ValueError("direction component a must be a 1-d vector")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
-        norm = float(np.sqrt(np.dot(a, a) + self.b * self.b))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"direction must lie on the unit sphere, |norm-1|={abs(norm-1.0):.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.a.size
-
-
-def directions_to_arrays(directions) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a direction list into (A, b) with A of shape (M, d), b of shape (M,)."""
-    A = np.stack([dr.a for dr in directions])
-    b = np.array([dr.b for dr in directions], dtype=np.float64)
-    return A, b
+    Every row must be finite and have unit l2 norm within UNIT_NORM_TOL.
+    With ``dim`` given, rows must have dim + 1 entries, and an empty
+    sequence becomes the (0, dim + 1) array.
+    """
+    W = np.ascontiguousarray(directions, dtype=np.float64)
+    if dim is not None and W.size == 0:
+        W = W.reshape(0, dim + 1)
+    if W.ndim != 2 or W.shape[1] < 2:
+        raise ValueError(f"directions must be an (M, d+1) array with d >= 1, got shape {W.shape}")
+    if dim is not None and W.shape[1] != dim + 1:
+        raise ValueError(f"directions have {W.shape[1] - 1} input coordinates, expected {dim}")
+    finite = np.isfinite(W).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"direction row {int(np.argmin(finite))} is not finite")
+    off = np.abs(np.sqrt(np.einsum("ij,ij->i", W, W)) - 1.0)
+    if np.any(off > UNIT_NORM_TOL):
+        j = int(np.argmax(off))
+        raise ValueError(f"direction row {j} is off the unit sphere, |norm-1|={off[j]:.3e}")
+    return W
 
 
 @dataclass(frozen=True)
@@ -109,24 +112,6 @@ class Dataset:
         return float(np.prod(self.domain_bounds[:, 1] - self.domain_bounds[:, 0]))
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One dictionary element: normalized ReLU activations on the training inputs."""
-
-    direction: Direction
-    features: np.ndarray   # (n_train,), unit l2 norm
-    raw_norm: float        # pre-normalization l2 norm
-
-    def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64).ravel()
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "raw_norm", float(self.raw_norm))
-        if self.raw_norm <= 0.0:
-            raise ValueError("atom raw_norm must be positive")
-        if abs(np.linalg.norm(features) - 1.0) > UNIT_NORM_TOL:
-            raise ValueError("atom features must have unit l2 norm")
-
-
 # Columns per block of the Dictionary unit-norm check, so that the check's
 # temporaries stay small next to the feature matrix.
 _NORM_CHECK_COLUMNS = 128
@@ -134,33 +119,34 @@ _NORM_CHECK_COLUMNS = 128
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Ordered set of candidate atoms plus the full sampled direction list.
+    """Ordered set of candidate atoms and the directions they come from.
 
     ``features`` holds the atoms column-wise, shape (n_train, n_atoms).
     The sampling builders store the atoms in one atom-major buffer of shape
     (n_atoms, n_train), each atom written once, and hand out its transpose:
     ``features`` is then a Fortran-ordered view, and greedy's
     ``features.T @ q`` GEMVs read that buffer row by row.
-    ``source_indices[j]`` is the index of atom j in ``source_directions``,
-    which also records directions whose atoms were dropped as dead.
+    ``directions`` is the (n_atoms, d+1) array whose row j is [a_j | b_j],
+    unit norm, the same layout as a row of the directions CSV.
+    ``source_indices[j]`` is the row of atom j in the sampled direction
+    set, which also held the directions dropped as dead.
     """
 
     features: np.ndarray
     raw_norms: np.ndarray
-    directions: tuple
-    source_indices: tuple
-    source_directions: tuple
+    directions: np.ndarray
+    source_indices: np.ndarray
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
         raw_norms = np.asarray(self.raw_norms, dtype=np.float64).ravel()
+        directions = check_directions(self.directions)
+        source_indices = np.asarray(self.source_indices, dtype=np.intp).ravel()
         if features.ndim != 2:
             raise ValueError("features must be a 2-d matrix (n_train, n_atoms)")
-        if features.shape[1] != raw_norms.size or features.shape[1] != len(self.directions):
-            raise ValueError("features columns, raw_norms and directions must align")
-        if len(self.source_indices) != len(self.directions):
-            raise ValueError("source_indices must align with atoms")
-        if len(set(self.source_indices)) != len(self.source_indices):
+        if not features.shape[1] == raw_norms.size == len(directions) == source_indices.size:
+            raise ValueError("features columns, raw_norms, directions and source_indices must align")
+        if np.unique(source_indices).size != source_indices.size:
             raise ValueError("source_indices must be unique")
         for lo in range(0, features.shape[1], _NORM_CHECK_COLUMNS):
             norms = np.linalg.norm(features[:, lo:lo + _NORM_CHECK_COLUMNS], axis=0)
@@ -168,9 +154,8 @@ class Dictionary:
                 raise ValueError("all atom feature columns must have unit norm")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "raw_norms", raw_norms)
-        object.__setattr__(self, "directions", tuple(self.directions))
-        object.__setattr__(self, "source_indices", tuple(int(i) for i in self.source_indices))
-        object.__setattr__(self, "source_directions", tuple(self.source_directions))
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "source_indices", source_indices)
 
     @property
     def n_atoms(self) -> int:
@@ -180,74 +165,48 @@ class Dictionary:
     def n_train(self) -> int:
         return self.features.shape[0]
 
-    def atom(self, j: int) -> Atom:
-        return Atom(self.directions[j], self.features[:, j], self.raw_norms[j])
-
-    @property
-    def atoms(self) -> list:
-        return [self.atom(j) for j in range(self.n_atoms)]
-
-    @property
-    def n_discarded(self) -> int:
-        return len(self.source_directions) - self.n_atoms
-
 
 @dataclass(frozen=True)
 class ShallowNetwork:
     """Single-hidden-layer ReLU network with unit-sphere inner weights.
 
-    Evaluates x -> sum_n c_n * relu(a_n . x + b_n). The empty network is a
-    valid value and evaluates to 0 everywhere.
+    Evaluates x -> sum_n c_n * relu(a_n . x + b_n). Row n of the (N, d+1)
+    ``directions`` array is [a_n | b_n], unit norm, the same layout as a row
+    of the directions CSV; ``weights`` holds c. The empty network, with
+    (0, d+1) directions, is a valid value and evaluates to 0 everywhere.
     """
 
-    nodes: tuple            # of (Direction, float outer weight)
-    input_dim: int
-
-    node_a: np.ndarray = field(init=False, repr=False, compare=False)
-    node_b: np.ndarray = field(init=False, repr=False, compare=False)
-    node_c: np.ndarray = field(init=False, repr=False, compare=False)
+    directions: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        nodes = tuple((dr, float(w)) for dr, w in self.nodes)
-        for dr, _ in nodes:
-            if dr.dim != self.input_dim:
-                raise ValueError("node direction dimension must equal input_dim")
-        object.__setattr__(self, "nodes", nodes)
-        if nodes:
-            A, b = directions_to_arrays([dr for dr, _ in nodes])
-            c = np.array([w for _, w in nodes], dtype=np.float64)
-        else:
-            A = np.zeros((0, self.input_dim))
-            b = np.zeros(0)
-            c = np.zeros(0)
-        object.__setattr__(self, "node_a", A)
-        object.__setattr__(self, "node_b", b)
-        object.__setattr__(self, "node_c", c)
+        directions = check_directions(self.directions)
+        weights = np.asarray(self.weights, dtype=np.float64).ravel()
+        if weights.size != len(directions):
+            raise ValueError("one outer weight per direction required")
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def input_dim(self) -> int:
+        return self.directions.shape[1] - 1
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self.weights.size
 
 
-def rescale_node(a, b: float, c: float) -> tuple[Direction, float]:
-    """Project an unconstrained node onto the sphere.
+def rescale_node(a, b: float, c: float) -> tuple[np.ndarray, float]:
+    """Project an unconstrained node onto the sphere: ([a | b] / norm, c * norm).
 
     Positive homogeneity of the ReLU gives c*relu(a.x+b) == w*relu(ab.x+bb)
     with (ab, bb) = (a, b)/||(a, b)|| and w = c*||(a, b)||.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    norm = math.hypot(*a, float(b))  # scale-safe for tiny and huge components
+    row = np.append(np.asarray(a, dtype=np.float64), float(b))
+    norm = math.hypot(*row)  # scale-safe for tiny and huge components
     if norm == 0.0:
         raise InvalidNodeError("inner weight vector (a, b) must be nonzero")
-    return Direction(a / norm, float(b) / norm), float(c) * norm
-
-
-def network_eval(net: ShallowNetwork, x) -> float:
-    """Evaluate the network at a single point."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if x.size != net.input_dim:
-        raise ValueError(f"input has dimension {x.size}, network expects {net.input_dim}")
-    return float(batch_eval(net, x[None, :])[0])
+    return row / norm, float(c) * norm
 
 
 def batch_eval(net: ShallowNetwork, inputs) -> np.ndarray:
@@ -262,29 +221,49 @@ def batch_eval(net: ShallowNetwork, inputs) -> np.ndarray:
         raise ValueError("inputs must be a 2-d matrix")
     if inputs.shape[1] != net.input_dim:
         raise ValueError(f"inputs have dimension {inputs.shape[1]}, network expects {net.input_dim}")
-    if not net.nodes:
+    if not net.n_nodes:
         return np.zeros(inputs.shape[0])
-    z = preactivations(inputs, net.node_a, net.node_b)
+    z = preactivations(inputs, net.directions[:, :-1], net.directions[:, -1])
     np.maximum(z, 0.0, out=z)
     out = np.zeros(inputs.shape[0])
     for n in range(net.n_nodes):
-        out += net.node_c[n] * z[:, n]
+        out += net.weights[n] * z[:, n]
     return out
+
+
+def read_csv_table(fh) -> tuple[list, np.ndarray]:
+    """Header and float rows of a CSV artifact; every row must match the header's width."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if not header:
+        raise ValueError("missing CSV header")
+    rows = [row for row in reader if row]
+    for k, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"data row {k} has {len(row)} columns; the header has {len(header)}")
+    data = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+    return header, data.reshape(len(rows), len(header))
+
+
+def directions_from_json(entries, dim: int) -> np.ndarray:
+    """Direction array from a JSON list of {"a": [...], "b": ...} objects."""
+    return check_directions([list(e["a"]) + [e["b"]] for e in entries], dim)
 
 
 def network_to_json(net: ShallowNetwork) -> str:
     """Serialize to the documented JSON schema with round-tripping decimals."""
     doc = {
         "input_dim": net.input_dim,
-        "nodes": [{"a": dr.a.tolist(), "b": dr.b, "c": w} for dr, w in net.nodes],
+        "nodes": [{"a": row[:-1], "b": row[-1], "c": c}
+                  for row, c in zip(net.directions.tolist(), net.weights.tolist())],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def network_from_json(text: str) -> ShallowNetwork:
     doc = json.loads(text)
-    nodes = [(Direction(np.asarray(n["a"]), n["b"]), n["c"]) for n in doc["nodes"]]
-    return ShallowNetwork(tuple(nodes), int(doc["input_dim"]))
+    directions = directions_from_json(doc["nodes"], int(doc["input_dim"]))
+    return ShallowNetwork(directions, [n["c"] for n in doc["nodes"]])
 
 
 def save_network(net: ShallowNetwork, path) -> None:

@@ -16,12 +16,12 @@ near machine precision over hundreds of iterations.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core import Dataset, Dictionary, GsnError, ShallowNetwork
+from .core import Dataset, Dictionary, GsnError
 
 
 class GreedyStop(GsnError):
@@ -193,7 +193,6 @@ class PathRecord:
     residual_norm: float
     train_error: float
     validation_error: float
-    weights: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,6 @@ class GreedyPath:
 
     records: tuple
     termination: str
-    final_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -220,23 +218,8 @@ class GreedyPath:
         return [r.atom_index for r in self.records]
 
 
-def network_from_selection(dictionary: Dictionary, indices, weights) -> ShallowNetwork:
-    """Network whose nodes are the selected directions.
-
-    ``weights`` are coefficients of the normalized atoms, so each outer
-    weight is divided by the atom's raw activation norm.
-    """
-    nodes = tuple(
-        (dictionary.directions[j], float(w) / float(dictionary.raw_norms[j]))
-        for j, w in zip(indices, weights)
-    )
-    d = dictionary.directions[0].dim if dictionary.n_atoms else 1
-    return ShallowNetwork(nodes, d)
-
-
 def oga_run(dictionary: Dictionary, dataset_train: Dataset, dataset_val: Dataset,
-            max_iter: int, tol: GreedyTolerances = GreedyTolerances(),
-            record_weights: bool = False) -> GreedyPath:
+            max_iter: int, tol: GreedyTolerances = GreedyTolerances()) -> GreedyPath:
     """Greedy selection with per-iteration validation scoring.
 
     After each step the current outer weights are recovered by back-
@@ -261,11 +244,10 @@ def oga_run(dictionary: Dictionary, dataset_train: Dataset, dataset_val: Dataset
         except GreedyStop as stop:
             termination = stop.reason
             break
-        dr = dictionary.directions[j]
-        val_cols.append(np.maximum(dataset_val.inputs @ dr.a + dr.b, 0.0)
+        w = dictionary.directions[j]
+        val_cols.append(np.maximum(dataset_val.inputs @ w[:-1] + w[-1], 0.0)
                         / dictionary.raw_norms[j])
-        weights = state.recover_weights()
-        val_pred = np.column_stack(val_cols) @ weights
+        val_pred = np.column_stack(val_cols) @ state.recover_weights()
         val_rmse = float(np.linalg.norm(val_pred - dataset_val.targets) / sqrt_val)
         records.append(PathRecord(
             iteration=m,
@@ -273,10 +255,8 @@ def oga_run(dictionary: Dictionary, dataset_train: Dataset, dataset_val: Dataset
             residual_norm=state.residual_norm,
             train_error=state.residual_norm / sqrt_tr,
             validation_error=val_rmse,
-            weights=weights if record_weights else None,
         ))
-    final = state.recover_weights()
-    return GreedyPath(tuple(records), termination, final)
+    return GreedyPath(tuple(records), termination)
 
 
 def select_model(path: GreedyPath) -> int:

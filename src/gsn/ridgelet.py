@@ -25,11 +25,11 @@ import csv
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Dictionary, Direction, directions_to_arrays, preactivations, relu
+from .core import Dataset, Dictionary, check_directions, preactivations, read_csv_table
 
 # (directions x points) per chunk: temporaries stay cache-sized and threads get
 # work to split (ex3 field, 2 cores: 0.14 s unchunked, 0.07 s chunked on 2 threads)
@@ -66,62 +66,21 @@ class RadialQuadrature:
 
 
 @dataclass(frozen=True)
-class RidgeletField:
-    """Transform values over a rectangular grid of (a, b) locations (d=1)."""
-
-    a_grid: np.ndarray
-    b_grid: np.ndarray
-    values: np.ndarray     # shape (len(a_grid), len(b_grid))
-    provenance: str = ""
-
-    def __post_init__(self):
-        if self.values.shape != (len(self.a_grid), len(self.b_grid)):
-            raise ValueError("values grid shape must match (a_grid, b_grid)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
-
-
-@dataclass(frozen=True)
 class CollapsedField:
-    """Collapsed transform values, one per sampled direction."""
+    """Collapsed transform values, one per row [a | b] of the (M, d+1) ``directions``."""
 
-    directions: tuple
+    directions: np.ndarray
     values: np.ndarray
-    quadrature: RadialQuadrature = field(default_factory=RadialQuadrature)
 
     def __post_init__(self):
+        directions = check_directions(self.directions)
         values = np.asarray(self.values, dtype=np.float64).ravel()
-        if values.size != len(self.directions):
+        if values.size != len(directions):
             raise ValueError("one value per direction required")
         if not np.all(np.isfinite(values)):
             raise ValueError("collapsed values must be finite")
+        object.__setattr__(self, "directions", directions)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "directions", tuple(self.directions))
-
-
-def ridgelet_transform(dataset: Dataset, a, b: float) -> float:
-    """Uniform-measure estimate of the transform at one (a, b) location.
-
-    Uses the training points as quadrature nodes with weight vol(domain)/n.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    z = dataset.inputs @ a + b
-    w = dataset.volume / dataset.n_points
-    return float(w * np.dot(dataset.targets, tau(z, dataset.dim)))
-
-
-def ridgelet_field(dataset: Dataset, a_grid, b_grid) -> RidgeletField:
-    """Transform evaluated on a rectangular (a, b) grid; d=1 only."""
-    if dataset.dim != 1:
-        raise ValueError("rectangular field grids are defined for 1-d inputs")
-    a_grid = np.asarray(a_grid, dtype=np.float64).ravel()
-    b_grid = np.asarray(b_grid, dtype=np.float64).ravel()
-    x = dataset.inputs[:, 0]
-    w = dataset.volume / dataset.n_points
-    # z[i, j, k] = a_i * x_k + b_j
-    z = a_grid[:, None, None] * x[None, None, :] + b_grid[None, :, None]
-    values = w * (tau(z, 1) @ dataset.targets)
-    return RidgeletField(a_grid, b_grid, values)
 
 
 def _radial_profile(X: np.ndarray, dimension: int) -> np.ndarray:
@@ -143,14 +102,14 @@ def collapsed_field(dataset: Dataset, directions, quad: RadialQuadrature | None 
     Results are written per-direction, so thread scheduling cannot change
     them; ``threads`` only splits the direction axis.
     """
-    directions = list(directions)
+    W = check_directions(directions, dataset.dim)
+    A, b = W[:, :-1], W[:, -1]
     quad = quad or RadialQuadrature()
-    A, b = directions_to_arrays(directions)
     d = dataset.dim
     R = quad.r_max
     scale = -R ** (d + 2) / (2.0 * (2.0 * math.pi) ** (d - 0.5))
     f = dataset.targets * (dataset.volume / dataset.n_points)
-    values = np.empty(len(directions))
+    values = np.empty(len(W))
 
     chunk = max(1, _CHUNK_BUDGET // max(dataset.n_points, 1))
 
@@ -158,14 +117,14 @@ def collapsed_field(dataset: Dataset, directions, quad: RadialQuadrature | None 
         S = preactivations(dataset.inputs, A[lo:hi], b[lo:hi])     # (n_train, m)
         values[lo:hi] = scale * (f @ _radial_profile(R * np.abs(S), d))
 
-    spans = [(lo, min(lo + chunk, len(directions))) for lo in range(0, len(directions), chunk)]
+    spans = [(lo, min(lo + chunk, len(W))) for lo in range(0, len(W), chunk)]
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda s: run(*s), spans))
     else:
         for lo, hi in spans:
             run(lo, hi)
-    return CollapsedField(tuple(directions), values, quad)
+    return CollapsedField(W, values)
 
 
 def prune_dictionary(dictionary: Dictionary, fld: CollapsedField,
@@ -178,7 +137,7 @@ def prune_dictionary(dictionary: Dictionary, fld: CollapsedField,
     """
     if not 0.0 <= rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in [0, 1)")
-    if len(fld.directions) != dictionary.n_atoms:
+    if fld.values.size != dictionary.n_atoms:
         raise ValueError("field must hold one value per dictionary atom")
     mags = np.abs(fld.values)
     peak = mags.max()
@@ -189,54 +148,22 @@ def prune_dictionary(dictionary: Dictionary, fld: CollapsedField,
     return Dictionary(
         features=dictionary.features[:, keep],
         raw_norms=dictionary.raw_norms[keep],
-        directions=tuple(dictionary.directions[j] for j in keep),
-        source_indices=tuple(dictionary.source_indices[j] for j in keep),
-        source_directions=dictionary.source_directions,
+        directions=dictionary.directions[keep],
+        source_indices=dictionary.source_indices[keep],
     )
-
-
-def sphere_surface_area(dimension: int) -> float:
-    """Surface area of the unit d-sphere embedded in R^(d+1)."""
-    return 2.0 * math.pi ** ((dimension + 1) / 2.0) / math.gamma((dimension + 1) / 2.0)
-
-
-def reconstruct_from_crf(x, fld: CollapsedField) -> float:
-    """Qualitative reconstruction of the target from collapsed values.
-
-    Monte-Carlo estimate of the sphere integral of value * relu(a.x + b)
-    over the field's direction cloud; a diagnostic, not a fitted model.
-    """
-    if not len(fld.directions):
-        raise ValueError("field is empty")
-    return float(reconstruct_batch(np.reshape(x, (1, -1)), fld)[0])
-
-
-def reconstruct_batch(inputs, fld: CollapsedField) -> np.ndarray:
-    """Vectorized ``reconstruct_from_crf`` over input rows."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    A, b = directions_to_arrays(fld.directions)
-    area = sphere_surface_area(A.shape[1])
-    return area / len(fld.directions) * (relu(inputs @ A.T + b) @ fld.values)
 
 
 def save_field_csv(fld: CollapsedField, path) -> None:
     """Direction coordinates then value, one row per direction."""
-    d = fld.directions[0].dim
+    d = fld.directions.shape[1] - 1
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"a{i+1}" for i in range(d)] + ["b", "value"])
-        for dr, val in zip(fld.directions, fld.values):
-            writer.writerow([repr(float(v)) for v in dr.a] + [repr(float(dr.b)), repr(float(val))])
+        for row, val in zip(fld.directions.tolist(), fld.values.tolist()):
+            writer.writerow([repr(v) for v in row] + [repr(val)])
 
 
-def load_field_csv(path, quad: RadialQuadrature | None = None) -> CollapsedField:
-    dirs, vals = [], []
+def load_field_csv(path) -> CollapsedField:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if row:
-                nums = [float(v) for v in row]
-                dirs.append(Direction(np.asarray(nums[:-2]), nums[-2]))
-                vals.append(nums[-1])
-    return CollapsedField(tuple(dirs), np.asarray(vals), quad or RadialQuadrature())
+        _, data = read_csv_table(fh)
+    return CollapsedField(data[:, :-1], data[:, -1])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Dictionary, Direction, directions_to_arrays, preactivations
+from .core import Dataset, Dictionary, check_directions, preactivations, read_csv_table
 
 # Fixed purpose -> sub-stream index table. Changing it changes every seeded
 # output, so it is part of the on-disk format.
@@ -81,8 +81,8 @@ def default_direction_count(dimension: int) -> int:
     return 10_000 * dimension
 
 
-def sample_circle(count: int, seed: int = 0, grid: bool = False) -> list[Direction]:
-    """Directions on the unit circle (d=1), i.i.d. uniform or equispaced.
+def sample_circle(count: int, seed: int = 0, grid: bool = False) -> np.ndarray:
+    """Directions [cos phi, sin phi] on the unit circle (d=1), i.i.d. uniform or equispaced.
 
     Uniform draws angles from [-pi, pi) on the 'directions' sub-stream;
     the grid places phi_j = -pi + 2*pi*j/count.
@@ -94,10 +94,10 @@ def sample_circle(count: int, seed: int = 0, grid: bool = False) -> list[Directi
     else:
         rng = substream(seed, "directions")
         phi = rng.uniform(-math.pi, math.pi, size=count)
-    return [Direction(np.array([math.cos(p)]), math.sin(p)) for p in phi]
+    return check_directions(np.column_stack([np.cos(phi), np.sin(phi)]), 1)
 
 
-def golden_spiral(count: int) -> list[Direction]:
+def golden_spiral(count: int) -> np.ndarray:
     """Deterministic golden-spiral point set on the 2-sphere.
 
     Point i sits at height z_i = 1 - 2*(i+0.5)/count with azimuth
@@ -111,10 +111,10 @@ def golden_spiral(count: int) -> list[Direction]:
     theta = 2.0 * math.pi * i / GOLDEN_RATIO**2
     x = rho * np.cos(theta)
     y = rho * np.sin(theta)
-    return [Direction(np.array([xi, yi]), zi) for xi, yi, zi in zip(x, y, z)]
+    return check_directions(np.column_stack([x, y, z]), 2)
 
 
-def sample_gaussian_sphere(dimension: int, count: int, seed: int = 0) -> list[Direction]:
+def sample_gaussian_sphere(dimension: int, count: int, seed: int = 0) -> np.ndarray:
     """I.i.d. standard Gaussian (d+1)-vectors normalized onto the sphere."""
     if dimension < 1 or count < 1:
         raise ValueError("dimension and count must be >= 1")
@@ -126,10 +126,10 @@ def sample_gaussian_sphere(dimension: int, count: int, seed: int = 0) -> list[Di
         vecs[dead] = rng.standard_normal(size=(int(dead.sum()), dimension + 1))
         norms = np.linalg.norm(vecs, axis=1)
     vecs /= norms[:, None]
-    return [Direction(v[:-1], v[-1]) for v in vecs]
+    return check_directions(vecs, dimension)
 
 
-def sample_directions(config: SamplerConfig) -> list[Direction]:
+def sample_directions(config: SamplerConfig) -> np.ndarray:
     if config.scheme == "circle-uniform":
         return sample_circle(config.count, config.seed, grid=False)
     if config.scheme == "circle-grid":
@@ -206,26 +206,19 @@ def _atom_rows(inputs: np.ndarray, A: np.ndarray, b: np.ndarray, drop_tol: float
 
 
 def build_dictionary(dataset: Dataset, directions, drop_tol: float = 1e-12) -> Dictionary:
-    """Normalized ReLU activation vectors for each direction.
+    """Normalized ReLU activation vectors for each row [a | b] of ``directions``.
 
     Directions whose activations have l2 norm <= drop_tol on the training
-    inputs carry no information and are dropped (kept in provenance).
+    inputs carry no information and are dropped; ``source_indices`` keeps
+    the row of every kept atom in ``directions``.
     """
-    directions = list(directions)
-    if not directions:
+    W = check_directions(directions, dataset.dim)
+    if not len(W):
         raise ValueError("need at least one direction")
-    if directions[0].dim != dataset.dim:
-        raise ValueError("direction dimension must match dataset dimension")
-    rows, norms, kept = _atom_rows(dataset.inputs, *directions_to_arrays(directions), drop_tol)
+    rows, norms, kept = _atom_rows(dataset.inputs, W[:, :-1], W[:, -1], drop_tol)
     if not kept.size:
         raise ValueError("every sampled direction is dead on the training set")
-    return Dictionary(
-        features=rows.T,
-        raw_norms=norms,
-        directions=tuple(directions[j] for j in kept),
-        source_indices=tuple(int(j) for j in kept),
-        source_directions=tuple(directions),
-    )
+    return Dictionary(features=rows.T, raw_norms=norms, directions=W[kept], source_indices=kept)
 
 
 # --- CSV import/export -------------------------------------------------
@@ -246,7 +239,6 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
 
 def load_dataset_csv(path) -> Dataset:
     bounds = None
-    rows = []
     with open(path, newline="") as fh:
         first = fh.readline()
         if first.startswith("#"):
@@ -254,14 +246,7 @@ def load_dataset_csv(path) -> Dataset:
             bounds = np.asarray(json.loads(payload), dtype=np.float64)
         else:
             fh.seek(0)
-        reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            if row:
-                rows.append([float(v) for v in row])
-    data = np.asarray(rows, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError(f"malformed dataset CSV {path}")
+        _, data = read_csv_table(fh)
     inputs, targets = data[:, :-1], data[:, -1]
     if bounds is None:
         bounds = np.stack([inputs.min(axis=0), inputs.max(axis=0)], axis=1)
@@ -269,60 +254,43 @@ def load_dataset_csv(path) -> Dataset:
 
 
 def save_directions_csv(directions, path) -> None:
-    directions = list(directions)
-    d = directions[0].dim
+    """One row a1..ad,b per direction: the in-memory (M, d+1) layout."""
+    W = check_directions(directions)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"a{i+1}" for i in range(d)] + ["b"])
-        for dr in directions:
-            writer.writerow([repr(float(v)) for v in dr.a] + [repr(float(dr.b))])
+        writer.writerow([f"a{i+1}" for i in range(W.shape[1] - 1)] + ["b"])
+        writer.writerows([repr(v) for v in row] for row in W.tolist())
 
 
-def load_directions_csv(path) -> list[Direction]:
-    out = []
+def load_directions_csv(path, dim: int) -> np.ndarray:
+    """Validated (M, dim+1) direction array."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if row:
-                vals = [float(v) for v in row]
-                out.append(Direction(np.asarray(vals[:-1]), vals[-1]))
-    return out
+        _, data = read_csv_table(fh)
+    return check_directions(data, dim)
 
 
 def save_dictionary_csv(dictionary: Dictionary, path) -> None:
     """Kept atoms only: source index, direction coordinates, raw norm."""
-    d = dictionary.directions[0].dim if dictionary.n_atoms else 0
+    d = dictionary.directions.shape[1] - 1
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source_index"] + [f"a{i+1}" for i in range(d)] + ["b", "raw_norm"])
-        for j in range(dictionary.n_atoms):
-            dr = dictionary.directions[j]
-            writer.writerow([dictionary.source_indices[j]]
-                            + [repr(float(v)) for v in dr.a]
-                            + [repr(float(dr.b)), repr(float(dictionary.raw_norms[j]))])
+        for src, row, norm in zip(dictionary.source_indices.tolist(), dictionary.directions.tolist(),
+                                  dictionary.raw_norms.tolist()):
+            writer.writerow([src] + [repr(v) for v in row] + [repr(norm)])
 
 
 def load_dictionary_csv(path, dataset: Dataset) -> Dictionary:
     """Rebuild a Dictionary from its CSV against the training set it came from."""
-    entries = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if row:
-                vals = [float(v) for v in row[1:]]
-                entries.append((int(row[0]), Direction(np.asarray(vals[:-2]), vals[-2])))
-    if not entries:
+        _, data = read_csv_table(fh)
+    if not len(data):
         raise ValueError(f"empty dictionary CSV {path}")
-    directions = tuple(dr for _, dr in entries)
-    rows, norms, kept = _atom_rows(dataset.inputs, *directions_to_arrays(directions), 0.0)
-    if kept.size != len(directions):
+    source = data[:, 0].astype(np.intp)
+    if not np.array_equal(source, data[:, 0]):
+        raise ValueError("source_index entries must be integers")
+    W = check_directions(data[:, 1:-1], dataset.dim)
+    rows, norms, kept = _atom_rows(dataset.inputs, W[:, :-1], W[:, -1], 0.0)
+    if kept.size != len(W):
         raise ValueError("dictionary CSV contains atoms dead on this training set")
-    return Dictionary(
-        features=rows.T,
-        raw_norms=norms,
-        directions=directions,
-        source_indices=tuple(i for i, _ in entries),
-        source_directions=directions,
-    )
+    return Dictionary(features=rows.T, raw_norms=norms, directions=W, source_indices=source)

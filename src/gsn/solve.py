@@ -12,44 +12,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, ShallowNetwork, preactivations, relu
+from .core import Dataset, ShallowNetwork, check_directions, preactivations, relu
 
 RANK_REL_TOL = 1e-10  # singular values below this times the largest column norm are noise
 
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Node activations on a point set, one column per node."""
+    """Node activations on a point set, one column per row [a | b] of ``directions``."""
 
-    matrix: np.ndarray     # (n_points, n_nodes)
-    nodes: tuple           # provenance: Direction per column
+    matrix: np.ndarray      # (n_points, n_nodes)
+    directions: np.ndarray  # (n_nodes, d+1) provenance
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError("design matrix must be 2-d")
-        if matrix.shape[1] != len(self.nodes):
-            raise ValueError("one provenance node per column required")
+        if matrix.shape[1] != len(self.directions):
+            raise ValueError("one provenance direction per column required")
         if not np.all(np.isfinite(matrix)):
             raise ValueError("design matrix entries must be finite")
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "directions", check_directions(self.directions))
 
     @property
     def n_nodes(self) -> int:
         return self.matrix.shape[1]
 
 
-def assemble_design(dataset: Dataset, nodes) -> DesignMatrix:
+def assemble_design(dataset: Dataset, directions) -> DesignMatrix:
     """Matrix of relu(a_n . x_i + b_n) over the dataset's inputs."""
-    nodes = tuple(nodes)
-    if not nodes:
-        return DesignMatrix(np.zeros((dataset.n_points, 0)), ())
-    if nodes[0].dim != dataset.dim:
-        raise ValueError("node dimension must match dataset dimension")
-    A = np.stack([dr.a for dr in nodes])
-    b = np.array([dr.b for dr in nodes])
-    return DesignMatrix(relu(preactivations(dataset.inputs, A, b)), nodes)
+    W = check_directions(directions, dataset.dim)
+    return DesignMatrix(relu(preactivations(dataset.inputs, W[:, :-1], W[:, -1])), W)
 
 
 def fit_outer_weights(design: DesignMatrix, targets) -> np.ndarray:
@@ -71,10 +65,8 @@ def fit_outer_weights(design: DesignMatrix, targets) -> np.ndarray:
     return Vt[keep].T @ coeff
 
 
-def refit_network(dataset: Dataset, nodes) -> tuple[ShallowNetwork, np.ndarray]:
+def refit_network(dataset: Dataset, directions) -> tuple[ShallowNetwork, np.ndarray]:
     """Network with least-squares outer weights for the given directions."""
-    nodes = tuple(nodes)
-    design = assemble_design(dataset, nodes)
+    design = assemble_design(dataset, directions)
     c = fit_outer_weights(design, dataset.targets)
-    net = ShallowNetwork(tuple(zip(nodes, c)), dataset.dim)
-    return net, c
+    return ShallowNetwork(design.directions, c), c

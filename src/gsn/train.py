@@ -74,17 +74,20 @@ class NetParams:
 
 
 def params_from_network(net: ShallowNetwork) -> NetParams:
-    return NetParams(net.node_a.copy(), net.node_b.copy(), net.node_c.copy())
+    W = net.directions
+    return NetParams(W[:, :-1].copy(), W[:, -1].copy(), net.weights.copy())
 
 
 def params_to_network(params: NetParams, input_dim: int) -> ShallowNetwork:
     """Rescale raw nodes back onto the sphere; exact-zero nodes drop out."""
-    nodes = []
+    rows, weights = [], []
     for a, b, c in zip(params.A, params.b, params.c):
         if np.dot(a, a) + b * b == 0.0:
             continue  # contributes relu(0) = 0 everywhere
-        nodes.append(rescale_node(a, b, c))
-    return ShallowNetwork(tuple(nodes), input_dim)
+        row, w = rescale_node(a, b, c)
+        rows.append(row)
+        weights.append(w)
+    return ShallowNetwork(np.reshape(rows, (-1, input_dim + 1)), weights)
 
 
 def predict(params: NetParams, inputs: np.ndarray) -> np.ndarray:

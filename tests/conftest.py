@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gsn.core import Dataset, Dictionary, Direction
+from gsn.core import Dataset, Dictionary
 
 
 @pytest.fixture
@@ -23,13 +23,11 @@ def synthetic_dictionary(features: np.ndarray) -> Dictionary:
     features = np.asarray(features, dtype=np.float64)
     n_atoms = features.shape[1]
     angles = 2.0 * np.pi * np.arange(n_atoms) / max(n_atoms, 1)
-    dirs = tuple(Direction(np.array([np.cos(t)]), float(np.sin(t))) for t in angles)
     return Dictionary(
         features=features,
         raw_norms=np.ones(n_atoms),
-        directions=dirs,
-        source_indices=tuple(range(n_atoms)),
-        source_directions=dirs,
+        directions=np.column_stack([np.cos(angles), np.sin(angles)]),
+        source_indices=np.arange(n_atoms),
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from gsn import bench, greedy, sampling, solve
 from gsn.bench import compute_errors, default_config, strip_meta
-from gsn.core import Dataset, Direction, ShallowNetwork
+from gsn.core import Dataset, ShallowNetwork
 from gsn.greedy import GreedyStop, init_state, oga_step
 from gsn.ridgelet import collapsed_field, prune_dictionary, tau
 from gsn.train import TrainConfig, loss_and_gradients, params_from_network, predict
@@ -167,9 +167,7 @@ def test_criterion_4_gradient_correctness():
         dim = int(rng.integers(1, 5))
         n_nodes = int(rng.integers(1, 7))
         rows = unit_rows(rng, n_nodes, dim + 1)
-        nodes = tuple((Direction(r[:dim], r[dim]), float(rng.standard_normal()))
-                      for r in rows)
-        net = ShallowNetwork(nodes, dim)
+        net = ShallowNetwork(rows, rng.standard_normal(n_nodes))
         nb = int(rng.integers(2, 11))
         X = rng.uniform(-1, 1, size=(nb, dim))
         batch = Dataset(X, rng.standard_normal(nb), [[-1.0, 1.0]] * dim)

@@ -20,7 +20,7 @@ from gsn.bench import (
     target_registry,
     write_run_artifacts,
 )
-from gsn.core import Dataset, Direction, ShallowNetwork
+from gsn.core import Dataset, ShallowNetwork
 from gsn.train import TrainConfig
 
 
@@ -57,7 +57,7 @@ def test_registry_values():
 
 
 def test_compute_errors_perfect():
-    net = ShallowNetwork((), 1)
+    net = ShallowNetwork(np.empty((0, 2)), ())
     ds = Dataset(np.linspace(-1, 1, 5)[:, None], np.zeros(5), [[-1, 1]])
     err = compute_errors(net, ds)
     assert err.abs_l2 == 0.0 and err.rmse == 0.0 and err.rel_l2 == 0.0
@@ -67,7 +67,7 @@ def test_compute_errors_perfect():
 def test_compute_errors_offset_case():
     # empty network predicts 0; choose targets = -1 so the residual is the
     # constant 1 over n = 4 points with ||targets|| = 2
-    net = ShallowNetwork((), 1)
+    net = ShallowNetwork(np.empty((0, 2)), ())
     ds = Dataset(np.linspace(-1, 1, 4)[:, None], -np.ones(4), [[-1, 1]])
     err = compute_errors(net, ds)
     assert err.abs_l2 == pytest.approx(2.0)
@@ -82,9 +82,9 @@ def test_compute_errors_scaling(lam):
     rng = np.random.default_rng(5)
     X = rng.uniform(-1, 1, size=(12, 1))
     y = rng.standard_normal(12)
-    d = Direction(np.array([0.6]), 0.8)
-    net1 = ShallowNetwork(((d, 2.0),), 1)
-    net2 = ShallowNetwork(((d, 2.0 * lam),), 1)
+    d = [[0.6, 0.8]]
+    net1 = ShallowNetwork(d, [2.0])
+    net2 = ShallowNetwork(d, [2.0 * lam])
     e1 = compute_errors(net1, Dataset(X, y, [[-1, 1]]))
     e2 = compute_errors(net2, Dataset(X, lam * y, [[-1, 1]]))
     assert e2.abs_l2 == pytest.approx(lam * e1.abs_l2, rel=1e-9)

@@ -5,8 +5,8 @@ import pytest
 
 from gsn import bench, cli
 from gsn.bench import PipelineError
-from gsn.core import load_network
-from gsn.sampling import load_dataset_csv, load_dictionary_csv
+from gsn.core import Dataset, load_network
+from gsn.sampling import load_dataset_csv, load_dictionary_csv, save_dataset_csv
 
 
 def run_cli(*argv):
@@ -291,3 +291,155 @@ def test_dict_refuses_dictionary_beyond_memory(tmp_path, capsys, monkeypatch):
 def test_dict_drop_tol_default_matches_bench():
     args = cli.build_parser().parse_args(["dict", "--train", "t", "--directions", "d", "--out", "o"])
     assert args.drop_tol == bench.ExperimentConfig.drop_tol
+
+
+# A good unit row plus one faulty row, per fault: (CSV rows, JSON "a"/"b" pairs).
+# "other-dim" is a well-formed set of 2-d directions, for a 1-d training set.
+DIRECTION_FAULTS = {
+    "non-unit": (["0.6,0.8", "0.5,0.5"], [([0.6], 0.8), ([0.5], 0.5)]),
+    "wrong-width": (["0.6,0.8", "0.6,0.0,0.8"], [([0.6], 0.8), ([0.6, 0.0], 0.8)]),
+    "nan": (["0.6,0.8", "nan,nan"], [([0.6], 0.8), ([float("nan")], float("nan"))]),
+    "other-dim": (["0.6,0.0,0.8", "0.0,0.6,0.8"], [([0.6, 0.0], 0.8), ([0.0, 0.6], 0.8)]),
+}
+
+
+def write_direction_input(tmp_path, stage, fault):
+    csv_rows, pairs = DIRECTION_FAULTS[fault]
+    if stage in ("dict", "ridgelet"):
+        width = len(csv_rows[0].split(","))
+        path = tmp_path / "bad_directions.csv"
+        header = ",".join([f"a{i + 1}" for i in range(width - 1)] + ["b"])
+        path.write_text("\n".join([header] + csv_rows) + "\n")
+    elif stage == "fit":
+        path = tmp_path / "bad_nodes.json"
+        path.write_text(json.dumps({"input_dim": 1, "selected_nodes": 2,
+                                    "directions": [{"a": a, "b": b} for a, b in pairs]}))
+    else:
+        path = tmp_path / "bad_network.json"
+        path.write_text(json.dumps({"input_dim": len(pairs[0][0]),
+                                    "nodes": [{"a": a, "b": b, "c": 1.0} for a, b in pairs]}))
+    return path
+
+
+@pytest.mark.parametrize("fault", sorted(DIRECTION_FAULTS))
+@pytest.mark.parametrize("stage", ["dict", "ridgelet", "fit", "train"])
+def test_malformed_direction_input_exits_2(tmp_path, capsys, stage, fault):
+    train_csv = tmp_path / "train.csv"
+    x = np.linspace(-1.0, 1.0, 9)[:, None]
+    save_dataset_csv(Dataset(x, np.cos(3.0 * x[:, 0]), [[-1.0, 1.0]]), train_csv)
+    bad = write_direction_input(tmp_path, stage, fault)
+    out = tmp_path / "out"
+    argv = {
+        "dict": ["dict", "--train", str(train_csv), "--directions", str(bad)],
+        "ridgelet": ["ridgelet", "--train", str(train_csv), "--directions", str(bad),
+                     "--threads", "1"],
+        "fit": ["fit", "--train", str(train_csv), "--nodes", str(bad)],
+        "train": ["train", "--network", str(bad), "--train", str(train_csv), "--epochs", "1"],
+    }[stage]
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err.splitlines()[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", [[], ["0.0,-1.0"]])
+def test_dict_without_live_directions_exits_2(tmp_path, capsys, rows):
+    out = tmp_path / "s"
+    assert run_cli("sample", "ex1", "--seed", "0", "--out", str(out),
+                   "--config", str(write_tiny_config(tmp_path))) == 0
+    directions = tmp_path / "dead.csv"
+    directions.write_text("\n".join(["a1,b"] + rows) + "\n")
+    assert run_cli("dict", "--train", str(out / "train.csv"), "--directions", str(directions),
+                   "--out", str(out / "dictionary.csv")) == 2
+    assert str(directions) in capsys.readouterr().err
+    assert not (out / "dictionary.csv").exists()
+
+
+@pytest.mark.parametrize("fields", [
+    {"n_train": True},
+    {"dict_size": False},
+    {"initial_lr": True},
+    {"node_counts": [-3]},
+    {"node_counts": [0]},
+    {"node_counts": ["a"]},
+    {"node_counts": [True]},
+    {"node_counts": [2.5]},
+    {"node_counts": []},
+])
+@pytest.mark.parametrize("example", ["ex1", "ex6"])
+def test_config_field_types_checked_before_any_work(tmp_path, capsys, monkeypatch, fields, example):
+    def never(*args):
+        raise AssertionError("no work may start on an invalid config")
+
+    monkeypatch.setattr(bench, "run_experiment", never)
+    monkeypatch.setattr(bench, "node_sweep", never)
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(fields))
+    out = tmp_path / "out"
+    assert run_cli("bench", example, "--config", str(cfgp), "--out", str(out)) == 2
+    assert next(iter(fields)) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_memory_check_counts_pruned_copy(tmp_path, capsys, monkeypatch):
+    # 16 x 150 features take 19,200 bytes; pruning may hold a second copy
+    monkeypatch.setattr(cli, "available_memory_bytes", lambda: 30_000)
+    assert run_cli(*bench_args(tmp_path)) == 2
+    assert "with its pruned copy" in capsys.readouterr().err
+    assert run_cli(*bench_args(tmp_path, "--no-prune")) == 0
+
+
+def staged_dictionary(tmp_path):
+    out = tmp_path / "s"
+    assert run_cli("sample", "ex1", "--seed", "0", "--out", str(out),
+                   "--config", str(write_tiny_config(tmp_path))) == 0
+    assert run_cli("dict", "--train", str(out / "train.csv"),
+                   "--directions", str(out / "directions.csv"),
+                   "--out", str(out / "dictionary.csv")) == 0
+    return out
+
+
+@pytest.mark.parametrize("stage", ["prune", "greedy"])
+def test_dictionary_rebuild_refuses_dictionary_beyond_memory(tmp_path, capsys, monkeypatch, stage):
+    out = staged_dictionary(tmp_path)
+    assert run_cli("ridgelet", "--train", str(out / "train.csv"),
+                   "--directions", str(out / "directions.csv"),
+                   "--threads", "1", "--out", str(out / "field.csv")) == 0
+    n_atoms = len((out / "dictionary.csv").read_text().strip().splitlines()) - 1
+
+    def never(*args):
+        raise AssertionError("the dictionary must not be built")
+
+    monkeypatch.setattr(cli, "available_memory_bytes", lambda: 10_000)
+    monkeypatch.setattr(cli.sampling, "load_dictionary_csv", never)
+    argv = {
+        "prune": ["prune", "--train", str(out / "train.csv"), "--dict", str(out / "dictionary.csv"),
+                  "--field", str(out / "field.csv")],
+        "greedy": ["greedy", "--train", str(out / "train.csv"), "--val", str(out / "val.csv"),
+                   "--dict", str(out / "dictionary.csv"), "--nodes-out", str(out / "nodes.json")],
+    }[stage]
+    assert run_cli(*argv, "--out", str(out / "result.csv")) == 2
+    assert f"16 points x {n_atoms} directions" in capsys.readouterr().err
+    assert not (out / "result.csv").exists()
+
+
+@pytest.mark.parametrize("other", ["seed", "rows"])
+def test_prune_rejects_field_of_other_directions(tmp_path, capsys, other):
+    out = staged_dictionary(tmp_path)
+    directions = out / "directions.csv"
+    if other == "seed":
+        # the same training set with directions sampled from another seed
+        assert run_cli("sample", "ex1", "--seed", "1", "--out", str(tmp_path / "s1"),
+                       "--config", str(write_tiny_config(tmp_path))) == 0
+        directions = tmp_path / "s1" / "directions.csv"
+    else:
+        lines = directions.read_text().splitlines()
+        directions = tmp_path / "head.csv"
+        directions.write_text("\n".join(lines[:11]) + "\n")
+    assert run_cli("ridgelet", "--train", str(out / "train.csv"), "--directions", str(directions),
+                   "--threads", "1", "--out", str(out / "field.csv")) == 0
+    code = run_cli("prune", "--train", str(out / "train.csv"), "--dict", str(out / "dictionary.csv"),
+                   "--field", str(out / "field.csv"), "--out", str(out / "pruned.csv"))
+    assert code == 2
+    assert "field" in capsys.readouterr().err
+    assert not (out / "pruned.csv").exists()

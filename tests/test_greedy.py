@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from gsn import greedy
-from gsn.core import Dataset, batch_eval
+from gsn.core import Dataset, ShallowNetwork, batch_eval
 from gsn.greedy import (
     DictionaryExhausted,
     GreedyPath,
     PathRecord,
     ResidualBelowTolerance,
     init_state,
-    network_from_selection,
     oga_run,
     oga_step,
     select_model,
@@ -147,7 +146,8 @@ def test_coefficient_recovery_reproduces_projection(rng):
     for _ in range(len(path.records)):
         state, _ = oga_step(state, dic)
     w = state.recover_weights()
-    net = network_from_selection(dic, state.selected, w)
+    # w weighs the unit atoms, so each outer weight divides by the atom's raw norm
+    net = ShallowNetwork(dic.directions[state.selected], w / dic.raw_norms[state.selected])
     pred = batch_eval(net, ds.inputs)
     projection = ds.targets - state.residual
     assert np.linalg.norm(pred - projection) <= 1e-8 * np.linalg.norm(ds.targets)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from gsn import bench
-from gsn.core import Dataset, Direction, directions_to_arrays
+from gsn.core import Dataset
 from gsn.ridgelet import (
     CollapsedField,
     RadialQuadrature,
@@ -14,15 +13,10 @@ from gsn.ridgelet import (
     collapsed_field,
     load_field_csv,
     prune_dictionary,
-    reconstruct_batch,
-    reconstruct_from_crf,
-    ridgelet_field,
-    ridgelet_transform,
     save_field_csv,
-    sphere_surface_area,
     tau,
 )
-from gsn.sampling import build_dictionary, generate_dataset, sample_circle, sample_gaussian_sphere
+from gsn.sampling import build_dictionary, sample_circle, sample_gaussian_sphere
 
 from conftest import vector_dataset
 
@@ -58,39 +52,6 @@ def test_tau_decay():
         assert np.abs(tau(z, d)).max() <= 1e-12
 
 
-def test_ridgelet_transform_zero_function():
-    ds = vector_dataset(np.zeros(11))
-    assert ridgelet_transform(ds, np.array([0.3]), 0.7) == 0.0
-
-
-def test_ridgelet_transform_linearity(rng):
-    vals = rng.standard_normal(17)
-    ds1 = vector_dataset(vals)
-    ds2 = vector_dataset(3.5 * vals)
-    a, b = np.array([0.8]), -0.2
-    assert ridgelet_transform(ds2, a, b) == pytest.approx(
-        3.5 * ridgelet_transform(ds1, a, b), rel=1e-12)
-
-
-def test_ridgelet_transform_dense_quadrature_oracle():
-    # f == 1 on [-1, 1], transform at (a, b) = (1, 0) is the integral of the
-    # kernel over the interval; check against adaptive quadrature
-    n = 2001
-    ds = Dataset(np.linspace(-1, 1, n)[:, None], np.ones(n), [[-1, 1]])
-    got = ridgelet_transform(ds, np.array([1.0]), 0.0)
-    want, _ = quad(lambda x: tau(x, 1), -1.0, 1.0)
-    assert got == pytest.approx(want, rel=1e-3)
-
-
-def test_ridgelet_field_grid_shape():
-    ds = vector_dataset(np.sin(np.linspace(-1, 1, 41)))
-    fld = ridgelet_field(ds, np.linspace(-3, 3, 7), np.linspace(-2, 2, 5))
-    assert fld.values.shape == (7, 5)
-    # spot-check one grid entry against the pointwise transform
-    assert fld.values[2, 3] == pytest.approx(
-        ridgelet_transform(ds, np.array([fld.a_grid[2]]), fld.b_grid[3]), rel=1e-12)
-
-
 def test_collapsed_zero_function():
     ds = vector_dataset(np.zeros(9))
     assert np.all(collapsed_field(ds, sample_circle(5, seed=0)).values == 0.0)
@@ -117,8 +78,7 @@ def _trapezoid_field(dataset, directions, r_max, n_nodes):
     w = np.full(n_nodes, h)
     w[-1] = h / 2.0
     w *= r ** (dataset.dim + 1)
-    A, b = directions_to_arrays(directions)
-    S = A @ dataset.inputs.T + b[:, None]
+    S = directions[:, :-1] @ dataset.inputs.T + directions[:, -1:]
     f = dataset.targets * (dataset.volume / dataset.n_points)
     return np.array([(tau(np.outer(r, s), dataset.dim) @ f) @ w for s in S])
 
@@ -148,7 +108,7 @@ def test_collapsed_on_hyperplane_is_exact(dim):
     inputs = rng.uniform(-1.0, 1.0, (7, dim))
     inputs[:, 0] = 0.0
     ds = Dataset(inputs, rng.uniform(0.5, 1.5, 7), [[-1.0, 1.0]] * dim)
-    e1 = Direction(np.eye(dim)[0], 0.0)
+    e1 = np.eye(dim + 1)[0]
     r_max = 40.0
     c = 2.0 * (2.0 * math.pi) ** (dim - 0.5)
     want = -r_max ** (dim + 2) * 3.0 / ((dim + 2) * c) * ds.targets.sum() * ds.volume / 7
@@ -182,12 +142,12 @@ def test_d1_field_vanishes_away_from_hyperplane():
     assert np.allclose(_radial_profile(X, 1), (1.0 - X**2) * np.exp(-X**2 / 2), rtol=1e-15)
     moment, _ = quad(lambda r: r * r * tau(0.7 * r, 1), 0.0, np.inf)
     assert abs(moment) <= 1e-12
-    far = Direction(np.array([1.0]), 0.0)
+    far = [1.0, 0.0]
     ds = Dataset(np.array([[-0.9], [-0.5], [0.5], [0.8]]), np.ones(4), [[-1.0, 1.0]])
     near = Dataset(np.array([[0.0]]), np.ones(1), [[-1.0, 1.0]])
     assert abs(collapsed_field(ds, [far]).values[0]) <= 1e-60 * abs(collapsed_field(near, [far]).values[0])
     # d = 2: g_2(X) ~ 6 / X^4, an algebraic tail
-    far2 = Direction(np.array([1.0, 0.0]), 0.0)
+    far2 = [1.0, 0.0, 0.0]
     ds2 = Dataset(np.array([[0.5, 0.1], [0.8, -0.3]]), np.ones(2), [[-1.0, 1.0]] * 2)
     near2 = Dataset(np.array([[0.0, 0.2]]), np.ones(1), [[-1.0, 1.0]] * 2)
     assert abs(collapsed_field(ds2, [far2]).values[0]) >= 1e-5 * abs(collapsed_field(near2, [far2]).values[0])
@@ -243,7 +203,7 @@ def test_prune_submultiset_and_max_kept(rng):
     assert peak_src in pruned.source_indices
     # kept features are identical columns of the original dictionary
     for j, src in enumerate(pruned.source_indices):
-        k = dic.source_indices.index(src)
+        k = dic.source_indices.tolist().index(src)
         assert np.array_equal(pruned.features[:, j], dic.features[:, k])
 
 
@@ -262,46 +222,16 @@ def test_prune_threshold_validation(rng):
         prune_dictionary(dic, _field_for(dic, np.ones(dic.n_atoms)), 1.0)
 
 
-def test_reconstruct_zero_field():
-    dirs = sample_circle(10, seed=0)
-    fld = CollapsedField(tuple(dirs), np.zeros(10))
-    assert reconstruct_from_crf(np.array([0.3]), fld) == 0.0
-
-
-def test_reconstruct_linearity(rng):
-    dirs = tuple(sample_circle(10, seed=0))
-    v = rng.standard_normal(10)
-    x = np.array([0.4])
-    one = reconstruct_from_crf(x, CollapsedField(dirs, v))
-    two = reconstruct_from_crf(x, CollapsedField(dirs, 2.0 * v))
-    assert two == pytest.approx(2.0 * one, rel=1e-12)
-
-
-def test_sphere_surface_area():
-    assert sphere_surface_area(1) == pytest.approx(2.0 * math.pi)
-    assert sphere_surface_area(2) == pytest.approx(4.0 * math.pi)
-
-
-def test_reconstruct_tracks_target_shape():
-    # diagnostic sanity bar: with a dense training set and an equispaced
-    # direction quadrature the reconstruction correlates strongly with the
-    # target over the test grid (random directions are far noisier here)
-    target = bench.get_target("ex1")
-    ds = generate_dataset(target, 401, seed=0, layout="grid")
-    dirs = sample_circle(2000, grid=True)
-    fld = collapsed_field(ds, dirs)
-    grid = generate_dataset(target, 500, seed=0, layout="grid")
-    recon = reconstruct_batch(grid.inputs, fld)
-    corr = np.corrcoef(recon, grid.targets)[0, 1]
-    assert corr >= 0.8
+def bits(a):
+    return np.asarray(a).view(np.uint64)
 
 
 def test_field_csv_round_trip(tmp_path, rng):
-    dirs = tuple(sample_circle(12, seed=7))
-    fld = CollapsedField(dirs, rng.standard_normal(12))
+    fld = CollapsedField(sample_gaussian_sphere(2, 12, seed=7), rng.standard_normal(12))
     path = tmp_path / "field.csv"
     save_field_csv(fld, path)
     back = load_field_csv(path)
-    assert np.array_equal(back.values, fld.values)
-    assert all(np.array_equal(x.a, y.a) and x.b == y.b
-               for x, y in zip(back.directions, fld.directions))
+    assert np.array_equal(bits(back.values), bits(fld.values))
+    assert np.array_equal(bits(back.directions), bits(fld.directions))
+    save_field_csv(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gsn import bench, sampling
-from gsn.core import Dataset, Direction, directions_to_arrays, preactivations, relu
+from gsn.core import Dataset, preactivations, relu
 from gsn.sampling import (
     SamplerConfig,
     build_dictionary,
@@ -26,12 +26,13 @@ from gsn.sampling import (
 
 
 def norms(directions):
-    return np.array([math.hypot(np.linalg.norm(d.a), d.b) for d in directions])
+    return np.array([math.hypot(*row) for row in directions])
 
 
 def test_sample_circle_grid_m4():
     dirs = sample_circle(4, grid=True)
-    angles = sorted(math.atan2(d.b, d.a[0]) for d in dirs)
+    assert dirs.shape == (4, 2)
+    angles = sorted(math.atan2(b, a) for a, b in dirs)
     assert angles == pytest.approx([-math.pi, -math.pi / 2, 0.0, math.pi / 2])
 
 
@@ -41,19 +42,20 @@ def test_sample_circle_unit_norm():
 
 def test_sample_circle_uniform_mean():
     dirs = sample_circle(100_000, seed=7)
-    mean_cos = np.mean([d.a[0] for d in dirs])
+    mean_cos = np.mean(dirs[:, 0])
     assert abs(mean_cos) < 0.02
 
 
 def test_golden_spiral_unit_norm_and_determinism():
     a = golden_spiral(5000)
     b = golden_spiral(5000)
+    assert a.shape == (5000, 3)
     assert np.allclose(norms(a), 1.0, atol=1e-12)
-    assert all(np.array_equal(x.a, y.a) and x.b == y.b for x, y in zip(a, b))
+    assert np.array_equal(a, b)
 
 
 def test_golden_spiral_equidistribution():
-    pts = np.array([np.append(d.a, d.b) for d in golden_spiral(1000)])
+    pts = golden_spiral(1000)
     # nearest-neighbor geodesic distances should be nearly uniform
     dots = np.clip(pts @ pts.T, -1.0, 1.0)
     np.fill_diagonal(dots, -1.0)
@@ -64,14 +66,15 @@ def test_golden_spiral_equidistribution():
 def test_gaussian_sphere_unit_norm_and_symmetry():
     dirs = sample_gaussian_sphere(4, 100_000, seed=5)
     assert np.allclose(norms(dirs[:1000]), 1.0, atol=1e-12)
-    mean_vec = np.mean([np.append(d.a, d.b) for d in dirs], axis=0)
+    assert dirs.shape == (100_000, 5)
+    mean_vec = dirs.mean(axis=0)
     assert np.linalg.norm(mean_vec) <= 0.02
 
 
 def test_gaussian_sphere_seed_determinism():
     a = sample_gaussian_sphere(3, 50, seed=11)
     b = sample_gaussian_sphere(3, 50, seed=11)
-    assert all(np.array_equal(x.a, y.a) and x.b == y.b for x, y in zip(a, b))
+    assert np.array_equal(a, b)
 
 
 def test_sampler_config_validation():
@@ -127,13 +130,13 @@ def test_build_dictionary_constant_atom():
     dirs = sample_circle(4, grid=True)  # includes (0, 1) and (0, -1)
     dic = build_dictionary(ds, dirs)
     # (a, b) = (0, 1) gives relu(1) = 1 at every point -> constant column
-    up = [j for j, dr in enumerate(dic.directions) if dr.b > 0.9]
+    up = [j for j, dr in enumerate(dic.directions) if dr[-1] > 0.9]
     assert len(up) == 1
     col = dic.features[:, up[0]]
     assert np.allclose(col, 1.0 / math.sqrt(3.0))
-    # (0, -1) is dead everywhere -> discarded but kept in provenance
-    assert dic.n_atoms + dic.n_discarded == len(dirs)
-    assert dic.n_discarded >= 1
+    # (0, -1), row 1, is dead everywhere -> discarded; the rows kept are named
+    assert dic.source_indices.tolist() == [0, 2, 3]
+    assert np.array_equal(dic.directions, dirs[dic.source_indices])
 
 
 def test_build_dictionary_hand_case():
@@ -141,14 +144,14 @@ def test_build_dictionary_hand_case():
     dirs = sample_circle(4, grid=True)  # contains (1, 0)
     dic = build_dictionary(ds, dirs)
     j = [k for k, dr in enumerate(dic.directions)
-         if abs(dr.a[0] - 1.0) < 1e-12][0]
+         if abs(dr[0] - 1.0) < 1e-12][0]
     assert dic.raw_norms[j] == pytest.approx(1.0)
     assert np.allclose(dic.features[:, j], [0.0, 0.0, 1.0])
 
 
 def test_build_dictionary_all_dead_errors():
     ds = Dataset(np.array([[0.5]]), np.array([1.0]), [[0, 1]])
-    down = [Direction(np.array([0.0]), -1.0)]
+    down = [[0.0, -1.0]]
     with pytest.raises(ValueError):
         build_dictionary(ds, down)
 
@@ -168,8 +171,18 @@ def test_directions_csv_round_trip(tmp_path):
     dirs = sample_gaussian_sphere(2, 20, seed=2)
     path = tmp_path / "dirs.csv"
     save_directions_csv(dirs, path)
-    back = load_directions_csv(path)
-    assert all(np.array_equal(x.a, y.a) and x.b == y.b for x, y in zip(dirs, back))
+    back = load_directions_csv(path, 2)
+    assert np.array_equal(bits(back), bits(dirs))
+    save_directions_csv(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("row", ["0.5,0.5", "0.6,0.0,0.8", "nan,nan", "inf,0.0"])
+def test_load_directions_csv_rejects_bad_rows(tmp_path, row):
+    path = tmp_path / "dirs.csv"
+    path.write_text(f"a1,b\n0.6,0.8\n{row}\n")
+    with pytest.raises(ValueError):
+        load_directions_csv(path, 1)
 
 
 def blocked_case():
@@ -180,7 +193,7 @@ def blocked_case():
     dirs = sample_gaussian_sphere(2, m, seed=8)
     dead = (5, sampling._BLOCK + 60, m - 1)
     for j in dead:
-        dirs[j] = Direction(np.zeros(2), -1.0)
+        dirs[j] = [0.0, 0.0, -1.0]
     return ds, dirs, dead
 
 
@@ -191,13 +204,14 @@ def bits(a):
 def test_build_dictionary_matches_unblocked_reference():
     ds, dirs, dead = blocked_case()
     dic = build_dictionary(ds, dirs)
-    feats = relu(preactivations(ds.inputs, *directions_to_arrays(dirs)))
+    feats = relu(preactivations(ds.inputs, dirs[:, :-1], dirs[:, -1]))
     norms = np.linalg.norm(feats, axis=0)
     kept = np.flatnonzero(norms > 1e-12)
     assert not set(dead) & set(kept.tolist())
     assert np.array_equal(bits(dic.features), bits(feats[:, kept] / norms[kept]))
     assert np.array_equal(bits(dic.raw_norms), bits(norms[kept]))
-    assert dic.source_indices == tuple(kept.tolist())
+    assert np.array_equal(dic.source_indices, kept)
+    assert np.array_equal(dic.directions, dirs[kept])
     assert dic.features.flags.f_contiguous
 
 
@@ -209,8 +223,11 @@ def test_dictionary_csv_round_trip_same_bits(tmp_path):
     back = load_dictionary_csv(path, ds)
     assert np.array_equal(bits(back.features), bits(dic.features))
     assert np.array_equal(bits(back.raw_norms), bits(dic.raw_norms))
-    assert back.source_indices == dic.source_indices
+    assert np.array_equal(back.source_indices, dic.source_indices)
+    assert np.array_equal(bits(back.directions), bits(dic.directions))
     assert back.features.flags.f_contiguous
+    save_dictionary_csv(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_load_dictionary_csv_rejects_dead_atoms(tmp_path):

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from gsn.core import Dataset, Direction, ShallowNetwork, batch_eval
+from gsn.core import Dataset, ShallowNetwork, batch_eval
 from gsn.solve import DesignMatrix, assemble_design, fit_outer_weights, refit_network
+
+from conftest import unit_rows
 
 
 def design(matrix):
     matrix = np.asarray(matrix, dtype=np.float64)
-    dirs = tuple(Direction(np.array([1.0]), 0.0) for _ in range(matrix.shape[1]))
-    return DesignMatrix(matrix, dirs)
+    return DesignMatrix(matrix, np.tile([1.0, 0.0], (matrix.shape[1], 1)))
 
 
 def test_identity_design():
@@ -71,30 +72,22 @@ def test_assemble_design_zero_nodes():
 
 def test_assemble_design_constant_node():
     ds = Dataset(np.array([[-1.0], [0.0], [1.0]]), np.zeros(3), [[-1, 1]])
-    dm = assemble_design(ds, (Direction(np.array([0.0]), 1.0),))
+    dm = assemble_design(ds, [[0.0, 1.0]])
     assert np.allclose(dm.matrix, 1.0)
 
 
 def test_assemble_design_matches_batch_eval(rng):
     ds = Dataset(rng.uniform(-1, 1, size=(12, 2)), np.zeros(12), [[-1, 1], [-1, 1]])
-    dirs = []
-    for _ in range(5):
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        dirs.append(Direction(v[:2], v[2]))
+    dirs = unit_rows(rng, 5, 3)
     dm = assemble_design(ds, dirs)
     for j, dr in enumerate(dirs):
-        net = ShallowNetwork(((dr, 1.0),), 2)
+        net = ShallowNetwork(dr[None], [1.0])
         assert np.array_equal(dm.matrix[:, j], batch_eval(net, ds.inputs))
 
 
 def test_refit_network_reproduces_targets_in_span(rng):
     ds = Dataset(rng.uniform(-1, 1, size=(15, 1)), rng.standard_normal(15), [[-1, 1]])
-    dirs = []
-    for _ in range(15):
-        v = rng.standard_normal(2)
-        v /= np.linalg.norm(v)
-        dirs.append(Direction(v[:1], v[1]))
+    dirs = unit_rows(rng, 15, 2)
     net, c = refit_network(ds, dirs)
     pred = batch_eval(net, ds.inputs)
     dm = assemble_design(ds, dirs)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gsn.core import Dataset, Direction, ShallowNetwork, batch_eval
+from gsn.core import Dataset, ShallowNetwork, batch_eval
 from gsn.train import (
     InitSpec,
     NetParams,
@@ -26,9 +26,7 @@ from conftest import unit_rows
 
 def random_network(rng, n_nodes, dim):
     rows = unit_rows(rng, n_nodes, dim + 1)
-    nodes = tuple(
-        (Direction(r[:dim], r[dim]), float(rng.standard_normal())) for r in rows)
-    return ShallowNetwork(nodes, dim)
+    return ShallowNetwork(rows, rng.standard_normal(n_nodes))
 
 
 def random_batch(rng, n, dim):
@@ -48,9 +46,8 @@ def test_zero_loss_zero_gradients(rng):
 
 def test_dead_node_zero_gradients(rng):
     # second node never activates on the batch
-    dead = Direction(np.array([0.0]), -1.0)
-    live = Direction(np.array([1.0]), 0.0)
-    net = ShallowNetwork(((live, 1.0), (dead, 2.0)), 1)
+    live, dead = [1.0, 0.0], [0.0, -1.0]
+    net = ShallowNetwork([live, dead], [1.0, 2.0])
     batch = random_batch(rng, 6, 1)
     _, grads = loss_and_gradients(net, batch)
     assert np.all(grads.A[1] == 0) and grads.b[1] == 0 and grads.c[1] == 0
@@ -176,10 +173,10 @@ def test_train_inline_adam_matches_adam_update(rng):
 def test_train_convex_outer_only_monotone(rng):
     # single node, inner weights frozen: the loss is convex in c and the
     # decayed Adam iteration settles monotonically after a burn-in
-    node = Direction(np.array([2.0]) / math.sqrt(5.0), 1.0 / math.sqrt(5.0))
-    net = ShallowNetwork(((node, 0.0),), 1)
+    node = [[2.0 / math.sqrt(5.0), 1.0 / math.sqrt(5.0)]]
+    net = ShallowNetwork(node, [0.0])
     X = rng.uniform(-1, 1, size=(20, 1))
-    target_net = ShallowNetwork(((node, 1.7),), 1)
+    target_net = ShallowNetwork(node, [1.7])
     ds = Dataset(X, batch_eval(target_net, X), [[-1, 1]])
     cfg = TrainConfig(epochs=1200, batch_size=20, initial_lr=1e-3,
                       decay_rate=5e-2, seed=3, train_outer_only=True)
@@ -199,9 +196,8 @@ def test_train_determinism(rng):
 
 
 def test_dead_node_inner_weights_frozen(rng):
-    dead = Direction(np.array([0.0]), -1.0)
-    live = Direction(np.array([1.0]), 0.0)
-    net = ShallowNetwork(((live, 0.5), (dead, 2.0)), 1)
+    live, dead = [1.0, 0.0], [0.0, -1.0]
+    net = ShallowNetwork([live, dead], [0.5, 2.0])
     ds = random_batch(rng, 8, 1)
     cfg = TrainConfig(epochs=30, batch_size=8, seed=0)
     params, _ = train_params(params_from_network(net), ds, cfg)
@@ -243,7 +239,7 @@ def test_multi_restart_reporting(rng):
 
 
 def test_multi_restart_untrained_network_is_bad(rng):
-    target = ShallowNetwork(((Direction(np.array([0.6]), 0.8), 5.0),), 1)
+    target = ShallowNetwork([[0.6, 0.8]], [5.0])
     X = rng.uniform(-1, 1, size=(64, 1))
     ds = Dataset(X, batch_eval(target, X), [[-1, 1]])
     cfg = TrainConfig(epochs=0, batch_size=8)
