@@ -33,15 +33,7 @@ from .ridgelet import (
 )
 from .greedy import GreedyPath, GreedyState, init_state, oga_run, oga_step, select_model
 from .solve import DesignMatrix, assemble_design, fit_outer_weights
-from .train import (
-    InitSpec,
-    OptimizerState,
-    TrainConfig,
-    adam_update,
-    loss_and_gradients,
-    lr_at,
-    multi_restart,
-)
+from .train import TrainConfig, lr_at, multi_restart
 from .bench import ExperimentConfig, compute_errors, default_config, node_sweep, run_experiment, target_registry
 
 __version__ = "0.1.0"

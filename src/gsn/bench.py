@@ -21,7 +21,7 @@ import numpy as np
 from . import greedy, ridgelet, sampling, solve, train
 from .core import Dataset, GsnError, ShallowNetwork, batch_eval, save_network
 from .ridgelet import RadialQuadrature
-from .train import InitSpec, TrainConfig
+from .train import TrainConfig
 
 
 class PipelineError(GsnError):
@@ -146,6 +146,10 @@ class ExperimentConfig:
             raise ValueError("point counts and dictionary size must be positive")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if self.n_nodes is not None and self.n_nodes < 1:
+            raise ValueError("n_nodes must be >= 1")
         if not 0.0 <= self.prune_threshold < 1.0:
             raise ValueError("prune_threshold must lie in [0, 1)")
         if not self.quad_r_max > 0.0:
@@ -352,11 +356,10 @@ def run_random_baseline(cfg: ExperimentConfig, n_nodes: int,
                         train_set: Dataset, val_set: Dataset, test_set: Dataset) -> RandomBranch:
     """Best-of-n truncated-normal baseline at the same node count."""
     t0 = time.perf_counter()
-    init = InitSpec(kind="truncated-normal", seed=sampling.substream_seed(cfg.seed, "init"))
     try:
         best, records, curve = train.multi_restart(
-            n_nodes, train_set, val_set, test_set,
-            cfg.random_train, init, cfg.n_restarts)
+            n_nodes, train_set, val_set, test_set, cfg.random_train,
+            sampling.substream_seed(cfg.seed, "init"), cfg.n_restarts)
     except (GsnError, ValueError) as exc:
         raise PipelineError("baseline", exc) from exc
     return RandomBranch(

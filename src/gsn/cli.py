@@ -152,32 +152,24 @@ def build_experiment_config(args) -> bench.ExperimentConfig:
     if args.nodes is not None:
         overrides["n_nodes"] = args.nodes
 
-    gsn_train, random_train = cfg.gsn_train, cfg.random_train
-    epochs = args.epochs if args.epochs is not None else doc.get("epochs")
-    if epochs is not None:
-        gsn_train = replace(gsn_train, epochs=epochs)
-        random_train = replace(random_train, epochs=epochs)
-    if "gsn_batch" in doc:
-        gsn_train = replace(gsn_train, batch_size=doc["gsn_batch"])
-    if "random_batch" in doc:
-        random_train = replace(random_train, batch_size=doc["random_batch"])
-    if args.batch is not None:
-        gsn_train = replace(gsn_train, batch_size=args.batch)
-        random_train = replace(random_train, batch_size=args.batch)
-    for key, value in (("initial_lr", doc.get("initial_lr")),
-                       ("decay_rate", doc.get("decay_rate"))):
-        if value is not None:
-            gsn_train = replace(gsn_train, **{key: value})
-            random_train = replace(random_train, **{key: value})
     if args.restarts is not None:
         overrides["n_restarts"] = args.restarts
 
     threads = args.threads if args.threads is not None else doc.get("threads", default_threads())
     try:
-        return replace(cfg, gsn_train=gsn_train, random_train=random_train,
+        return replace(cfg, gsn_train=_train_config(cfg.gsn_train, doc, args, "gsn_batch"),
+                       random_train=_train_config(cfg.random_train, doc, args, "random_batch"),
                        threads=threads, **overrides)
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc)) from exc
+
+
+def _train_config(base: train.TrainConfig, doc: dict, args, batch_key: str) -> train.TrainConfig:
+    """One branch's training config: the example default, then the file, then the flags."""
+    fields = {"epochs": args.epochs if args.epochs is not None else doc.get("epochs"),
+              "batch_size": args.batch if args.batch is not None else doc.get(batch_key),
+              "initial_lr": doc.get("initial_lr"), "decay_rate": doc.get("decay_rate")}
+    return replace(base, **{k: v for k, v in fields.items() if v is not None})
 
 
 def cmd_bench(args) -> int:
@@ -229,6 +221,8 @@ def cmd_ridgelet(args) -> int:
         raise CliError(f"invalid --r-max: {exc}") from exc
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     directions = _load(sampling.load_directions_csv, args.directions, "directions", train_set.dim)
+    if len(directions) == 0:
+        raise CliError(f"directions file {args.directions} holds no direction")
     fld = ridgelet.collapsed_field(train_set, directions, quad, threads=args.threads or default_threads())
     ridgelet.save_field_csv(fld, args.out)
     print(f"wrote collapsed transform for {len(directions)} directions -> {args.out}")
@@ -256,6 +250,8 @@ def cmd_prune(args) -> int:
 
 
 def cmd_greedy(args) -> int:
+    if args.nodes is not None and args.nodes < 1:
+        raise CliError("--nodes must be >= 1")
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     val_set = _load(sampling.load_dataset_csv, args.val, "validation set")
     dictionary = _load_dictionary(args.dict, train_set)
@@ -306,9 +302,13 @@ def cmd_train(args) -> int:
     if net0.input_dim != train_set.dim:
         raise CliError(f"network {args.network} has input dimension {net0.input_dim}; "
                        f"the training set has {train_set.dim}")
-    cfg = train.TrainConfig(
-        epochs=args.epochs, batch_size=args.batch or train_set.n_points,
-        seed=sampling.substream_seed(args.seed or 0, "shuffle"))
+    try:
+        cfg = train.TrainConfig(
+            epochs=args.epochs,
+            batch_size=train_set.n_points if args.batch is None else args.batch,
+            seed=sampling.substream_seed(args.seed or 0, "shuffle"))
+    except ValueError as exc:
+        raise CliError(f"invalid training option: {exc}") from exc
     net, curve = train.train(net0, train_set, val_set, cfg)
     save_network(net, args.out)
     if args.loss_out:

@@ -4,22 +4,29 @@ Training operates on the raw node parametrization (a_n, b_n, c_n); the
 unit-norm constraint on inner weights is not maintained while optimizing.
 The mean-squared-error loss keeps the learning-rate scale independent of
 batch size, and the learning rate decays exponentially per epoch.
+
+`gradients` is the one minibatch gradient kernel: `train_params` steps it
+with the one Adam update, and the finite-difference acceptance check tests
+it. Random initializations draw every raw parameter from a normal of
+standard deviation INIT_STDDEV, truncated at INIT_TRUNCATION of them.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, ShallowNetwork, batch_eval, preactivations, rescale_node
+from .core import Dataset, ShallowNetwork, batch_eval, rescale_node
 from .sampling import substream
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+INIT_STDDEV = 0.05
+INIT_TRUNCATION = 2.0  # in units of INIT_STDDEV
 
 
 @dataclass(frozen=True)
@@ -29,8 +36,6 @@ class TrainConfig:
     initial_lr: float = 1e-3
     decay_rate: float = 4.6e-4
     seed: int = 0
-    shuffle: bool = True
-    train_outer_only: bool = False  # freeze (a, b); convex in c, used for sanity runs
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -43,20 +48,6 @@ class TrainConfig:
             raise ValueError("decay_rate must be >= 0")
 
 
-@dataclass(frozen=True)
-class InitSpec:
-    kind: str = "truncated-normal"
-    stddev: float = 0.05
-    truncation: float = 2.0  # in units of stddev
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("gsn-network", "truncated-normal"):
-            raise ValueError(f"unknown init kind {self.kind!r}")
-        if self.stddev <= 0.0:
-            raise ValueError("stddev must be positive")
-
-
 @dataclass
 class NetParams:
     """Unconstrained node parameters: rows of A pair with b and c entries."""
@@ -64,13 +55,6 @@ class NetParams:
     A: np.ndarray  # (n_nodes, d)
     b: np.ndarray  # (n_nodes,)
     c: np.ndarray  # (n_nodes,)
-
-    def copy(self) -> "NetParams":
-        return NetParams(self.A.copy(), self.b.copy(), self.c.copy())
-
-    @property
-    def n_nodes(self) -> int:
-        return self.b.size
 
 
 def params_from_network(net: ShallowNetwork) -> NetParams:
@@ -90,68 +74,29 @@ def params_to_network(params: NetParams, input_dim: int) -> ShallowNetwork:
     return ShallowNetwork(np.reshape(rows, (-1, input_dim + 1)), weights)
 
 
-def predict(params: NetParams, inputs: np.ndarray) -> np.ndarray:
-    return np.maximum(inputs @ params.A.T + params.b, 0.0) @ params.c
+def gradients(A: np.ndarray, b: np.ndarray, c: np.ndarray, X: np.ndarray, y: np.ndarray,
+              gA: np.ndarray, gb: np.ndarray, gc: np.ndarray) -> None:
+    """Gradients of the minibatch MSE mean((relu(X @ A.T + b) @ c - y)**2).
 
-
-def loss_and_gradients(net: ShallowNetwork, batch: Dataset) -> tuple[float, NetParams]:
-    """Mean-squared-error loss and its gradients for every node parameter.
-
-    The ReLU subgradient at zero is taken as 0, so a node whose
-    pre-activations are all non-positive receives zero gradients. The
-    forward pass shares batch_eval's accumulation order, so a network that
-    reproduces the targets exactly gets exactly zero loss and gradients.
+    Writes them into gA, gb and gc. The ReLU subgradient at zero is taken as
+    0, so a node whose pre-activations are all non-positive on the batch
+    receives zero gradients.
     """
-    if batch.n_points == 0:
-        raise ValueError("batch is empty")
-    params = params_from_network(net)
-    n = batch.n_points
-    X, y = batch.inputs, batch.targets
-    err = batch_eval(net, X) - y
-    loss = float(np.dot(err, err) / n)
-    z = preactivations(X, params.A, params.b)
+    z = X @ A.T + b
     gate = z > 0.0
     act = np.where(gate, z, 0.0)
-    coef = (2.0 / n) * err
-    gc = act.T @ coef
-    P = gate * coef[:, None]                 # (n, nodes)
-    gA = (P.T @ X) * params.c[:, None]
-    gb = P.sum(axis=0) * params.c
-    return loss, NetParams(gA, gb, gc)
+    coef = (2.0 / y.size) * (act @ c - y)
+    np.matmul(act.T, coef, out=gc)
+    P = gate * coef[:, None]                 # (batch, nodes)
+    np.matmul(P.T, X, out=gA)
+    gA *= c[:, None]
+    gb[:] = P.sum(axis=0)
+    gb *= c
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
     """Exponentially decayed learning rate, indexed by epoch."""
     return cfg.initial_lr * math.exp(-cfg.decay_rate * epoch)
-
-
-@dataclass
-class OptimizerState:
-    """Adam moment accumulators over a flat parameter vector."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-
-    @classmethod
-    def zeros(cls, n_params: int) -> "OptimizerState":
-        return cls(np.zeros(n_params), np.zeros(n_params))
-
-
-def adam_update(state: OptimizerState, params: np.ndarray, grads: np.ndarray,
-                lr: float) -> tuple[OptimizerState, np.ndarray]:
-    """One bias-corrected Adam step; returns updated (state, params)."""
-    if params.shape != grads.shape or params.shape != state.m.shape:
-        raise ValueError("parameter, gradient and state shapes must match")
-    state.step += 1
-    state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grads
-    state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * (grads * grads)
-    mhat = state.m / (1.0 - ADAM_BETA1**state.step)
-    vhat = state.v / (1.0 - ADAM_BETA2**state.step)
-    params = params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-    return state, params
 
 
 def train_params(params: NetParams, train_set: Dataset, cfg: TrainConfig) -> tuple[NetParams, np.ndarray]:
@@ -172,30 +117,16 @@ def train_params(params: NetParams, train_set: Dataset, cfg: TrainConfig) -> tup
     gc = grad[n_nodes * (d + 1):]
     mom = np.zeros_like(theta)
     vel = np.zeros_like(theta)
-    inner = not cfg.train_outer_only
 
     curve = np.empty(cfg.epochs)
     t = 0
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         for lo in range(0, n, batch):
             idx = order[lo: lo + batch]
-            Xb = X[idx]
-            z = Xb @ A.T + b
-            gate = z > 0.0
-            act = np.where(gate, z, 0.0)
-            err = act @ c - y[idx]
-            coef = (2.0 / idx.size) * err
-            np.matmul(act.T, coef, out=gc)
-            P = gate * coef[:, None]
-            if inner:
-                np.matmul(P.T, Xb, out=gA)
-                gA *= c[:, None]
-                gb[:] = P.sum(axis=0)
-                gb *= c
-            # Adam step over the flat parameter vector (same arithmetic as
-            # adam_update, inlined to keep the hot loop allocation-light)
+            gradients(A, b, c, X[idx], y[idx], gA, gb, gc)
+            # bias-corrected Adam step over the flat parameter vector
             t += 1
             mom *= ADAM_BETA1
             mom += (1.0 - ADAM_BETA1) * grad
@@ -222,16 +153,16 @@ def train(net0: ShallowNetwork, train_set: Dataset, val_set: Dataset | None,
     return params_to_network(params, train_set.dim), curve
 
 
-def truncated_normal_params(n_nodes: int, input_dim: int, spec: InitSpec) -> NetParams:
+def truncated_normal_params(n_nodes: int, input_dim: int, seed: int) -> NetParams:
     """Rejection-sampled truncated normal draws for every raw parameter."""
-    rng = substream(spec.seed, "init")
-    bound = spec.truncation * spec.stddev
+    rng = substream(seed, "init")
+    bound = INIT_TRUNCATION * INIT_STDDEV
 
     def draw(shape):
-        out = rng.normal(0.0, spec.stddev, size=shape)
+        out = rng.normal(0.0, INIT_STDDEV, size=shape)
         bad = np.abs(out) > bound
         while np.any(bad):
-            out[bad] = rng.normal(0.0, spec.stddev, size=int(bad.sum()))
+            out[bad] = rng.normal(0.0, INIT_STDDEV, size=int(bad.sum()))
             bad = np.abs(out) > bound
         return out
 
@@ -247,26 +178,22 @@ class RestartRecord:
 
 
 def multi_restart(n_nodes: int, train_set: Dataset, val_set: Dataset | None,
-                  test_set: Dataset, cfg: TrainConfig, init: InitSpec,
-                  n_restarts: int, base_seed: int | None = None,
-                  ) -> tuple[ShallowNetwork, list[RestartRecord], np.ndarray]:
+                  test_set: Dataset, cfg: TrainConfig, init_seed: int,
+                  n_restarts: int) -> tuple[ShallowNetwork, list[RestartRecord], np.ndarray]:
     """Best-of-n randomly initialized training runs.
 
-    Restart r draws its init from seed base_seed + r; the shuffle stream
+    Restart r draws its init from seed init_seed + r; the shuffle stream
     comes from cfg.seed for every restart. Returns the network with the
     lowest test RMSE, the per-restart table, and the best run's loss curve.
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    if init.kind != "truncated-normal":
-        raise ValueError("restart baselines draw truncated-normal initializations")
-    base = init.seed if base_seed is None else base_seed
     best_net, best_curve, records = None, None, []
     best_err = np.inf
     sqrt_n = np.sqrt(test_set.n_points)
     for r in range(n_restarts):
-        seed_r = base + r
-        params = truncated_normal_params(n_nodes, train_set.dim, replace(init, seed=seed_r))
+        seed_r = init_seed + r
+        params = truncated_normal_params(n_nodes, train_set.dim, seed_r)
         if cfg.epochs > 0:
             params, curve = train_params(params, train_set, cfg)
         else:

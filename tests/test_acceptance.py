@@ -13,10 +13,10 @@ from dataclasses import replace
 
 from gsn import bench, greedy, sampling, solve
 from gsn.bench import compute_errors, default_config, strip_meta
-from gsn.core import Dataset, ShallowNetwork
+from gsn.core import ShallowNetwork
 from gsn.greedy import GreedyStop, init_state, oga_step
 from gsn.ridgelet import collapsed_field, prune_dictionary, tau
-from gsn.train import TrainConfig, loss_and_gradients, params_from_network, predict
+from gsn.train import NetParams, TrainConfig, gradients, params_from_network
 from scipy.integrate import quad
 
 from conftest import synthetic_dictionary, unit_rows
@@ -170,17 +170,19 @@ def test_criterion_4_gradient_correctness():
         net = ShallowNetwork(rows, rng.standard_normal(n_nodes))
         nb = int(rng.integers(2, 11))
         X = rng.uniform(-1, 1, size=(nb, dim))
-        batch = Dataset(X, rng.standard_normal(nb), [[-1.0, 1.0]] * dim)
-        _, grads = loss_and_gradients(net, batch)
+        y = rng.standard_normal(nb)
         base = params_from_network(net)
+        # the kernel train_params steps, writing into gradient buffers
+        grads = NetParams(np.empty_like(base.A), np.empty_like(base.b), np.empty_like(base.c))
+        gradients(base.A, base.b, base.c, X, y, grads.A, grads.b, grads.c)
         z = X @ base.A.T + base.b
         near_kink = np.abs(z).min(axis=0) < kink_tol
 
         def fd(setter):
             def loss_at(d):
-                p = base.copy()
+                p = NetParams(base.A.copy(), base.b.copy(), base.c.copy())
                 setter(p, d)
-                e = predict(p, X) - batch.targets
+                e = np.maximum(X @ p.A.T + p.b, 0.0) @ p.c - y
                 return float(e @ e / nb)
             return (loss_at(+h) - loss_at(-h)) / (2 * h)
 

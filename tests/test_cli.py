@@ -355,6 +355,18 @@ def test_dict_without_live_directions_exits_2(tmp_path, capsys, rows):
     assert not (out / "dictionary.csv").exists()
 
 
+def test_ridgelet_without_directions_exits_2(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert run_cli("sample", "ex1", "--seed", "0", "--out", str(out),
+                   "--config", str(write_tiny_config(tmp_path))) == 0
+    directions = tmp_path / "empty.csv"
+    directions.write_text("a1,b\n")
+    assert run_cli("ridgelet", "--train", str(out / "train.csv"), "--directions", str(directions),
+                   "--threads", "1", "--out", str(out / "field.csv")) == 2
+    assert str(directions) in capsys.readouterr().err
+    assert not (out / "field.csv").exists()
+
+
 @pytest.mark.parametrize("fields", [
     {"n_train": True},
     {"dict_size": False},
@@ -365,6 +377,10 @@ def test_dict_without_live_directions_exits_2(tmp_path, capsys, rows):
     {"node_counts": [True]},
     {"node_counts": [2.5]},
     {"node_counts": []},
+    {"n_nodes": 0},
+    {"n_nodes": -3},
+    {"max_iter": 0},
+    {"epochs": -1},
 ])
 @pytest.mark.parametrize("example", ["ex1", "ex6"])
 def test_config_field_types_checked_before_any_work(tmp_path, capsys, monkeypatch, fields, example):
@@ -443,3 +459,41 @@ def test_prune_rejects_field_of_other_directions(tmp_path, capsys, other):
     assert code == 2
     assert "field" in capsys.readouterr().err
     assert not (out / "pruned.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--nodes", "0"], ["--nodes", "-3"], ["--epochs", "-1"],
+                                   ["--batch", "0"]], ids=" ".join)
+@pytest.mark.parametrize("example", ["ex1", "ex6"])
+def test_bench_count_flags_checked_before_any_work(tmp_path, capsys, monkeypatch, flags, example):
+    def never(*args):
+        raise AssertionError("no work may start on an invalid config")
+
+    monkeypatch.setattr(bench, "run_experiment", never)
+    monkeypatch.setattr(bench, "node_sweep", never)
+    out = tmp_path / "out"
+    assert run_cli("bench", example, *flags, "--out", str(out)) == 2
+    assert "must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("nodes", ["0", "-2"])
+def test_greedy_rejects_nonpositive_nodes(tmp_path, capsys, nodes):
+    out = staged_dictionary(tmp_path)
+    code = run_cli("greedy", "--train", str(out / "train.csv"), "--val", str(out / "val.csv"),
+                   "--dict", str(out / "dictionary.csv"), "--nodes", nodes,
+                   "--out", str(out / "path.csv"), "--nodes-out", str(out / "nodes.json"))
+    assert code == 2
+    assert "--nodes" in capsys.readouterr().err
+    assert not (out / "path.csv").exists() and not (out / "nodes.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--epochs", "-1"), ("--batch", "0"), ("--batch", "-4")])
+def test_train_rejects_bad_options(tmp_path, capsys, flag, value):
+    out = staged_dictionary(tmp_path)
+    network = tmp_path / "net.json"
+    network.write_text(json.dumps({"input_dim": 1, "nodes": [{"a": [0.6], "b": 0.8, "c": 1.0}]}))
+    code = run_cli("train", "--network", str(network), "--train", str(out / "train.csv"),
+                   flag, value, "--out", str(out / "trained.json"))
+    assert code == 2
+    assert "invalid training option" in capsys.readouterr().err
+    assert not (out / "trained.json").exists()
