@@ -14,6 +14,7 @@ import json
 import math
 import os
 import time
+import typing
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -152,8 +153,12 @@ class ExperimentConfig:
             raise ValueError("n_nodes must be >= 1")
         if not 0.0 <= self.prune_threshold < 1.0:
             raise ValueError("prune_threshold must lie in [0, 1)")
-        if not self.quad_r_max > 0.0:
-            raise ValueError("quad_r_max must be positive")
+        if not 0.0 <= self.drop_tol < math.inf:
+            raise ValueError("drop_tol must be finite and >= 0")
+        if not 0.0 < self.quad_r_max < math.inf:
+            raise ValueError("quad_r_max must be finite and positive")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         object.__setattr__(self, "notes", tuple(self.notes))
 
     @property
@@ -535,11 +540,57 @@ def strip_meta(doc: dict) -> dict:
     return {k: v for k, v in doc.items() if k != "meta"}
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Rebuild a config from a manifest's embedded 'config' object."""
-    doc = dict(doc)
-    doc.pop("node_counts", None)
-    doc["gsn_train"] = TrainConfig(**doc["gsn_train"])
-    doc["random_train"] = TrainConfig(**doc["random_train"])
-    doc["notes"] = tuple(doc.get("notes", ()))
-    return ExperimentConfig(**doc)
+def config_from_dict(doc: dict, target_id: str | None = None,
+                     seed: int | None = None) -> ExperimentConfig:
+    """Config from a full or partial ``to_dict()`` document, such as a manifest's 'config'.
+
+    The document is laid over ``default_config(target_id, seed)``; the
+    arguments win over its own ``target_id`` and ``seed``, and an explicit
+    ``seed`` re-derives both shuffle seeds too. Keys and JSON types (and a
+    sweep's ``node_counts``) are checked here, values by the dataclasses.
+    Every fault raises ValueError.
+    """
+    target_id = target_id or doc.get("target_id")
+    if target_id not in _DEFAULTS:
+        raise ValueError(f"unknown example id {target_id!r}: give one of {', '.join(_DEFAULTS)} "
+                         "as the config's target_id or on the command line")
+    counts = doc.get("node_counts", [1])
+    if not (type(counts) is list and counts and all(type(n) is int and n > 0 for n in counts)):
+        raise ValueError("config field 'node_counts' must be a non-empty list of positive integers")
+    master_seed = _json_value("seed", int, doc.get("seed", 0)) if seed is None else seed
+    base = default_config(target_id, seed=master_seed)
+    cfg = _laid_over(base, {k: v for k, v in doc.items() if k not in ("target_id", "node_counts")})
+    if seed is not None:
+        cfg = replace(cfg, seed=seed, gsn_train=replace(cfg.gsn_train, seed=base.gsn_train.seed),
+                      random_train=replace(cfg.random_train, seed=base.random_train.seed))
+    return cfg
+
+
+def _laid_over(base, doc: dict, where: str = ""):
+    """``base``, a config dataclass, with the document's fields replaced, nested ones too."""
+    if type(doc) is not dict:
+        raise ValueError(f"config field {where[:-1]!r} must be an object")
+    hints = typing.get_type_hints(type(base))
+    changes = {}
+    for key, value in doc.items():
+        if key not in hints:
+            raise ValueError(f"unknown config field {where + key!r}")
+        if hints[key] is TrainConfig:
+            changes[key] = _laid_over(getattr(base, key), value, f"{where}{key}.")
+        else:
+            changes[key] = _json_value(where + key, hints[key], value)
+    try:
+        return replace(base, **changes)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from exc
+
+
+def _json_value(name: str, want, value):
+    """A JSON value checked against a field's type: ints pass as floats, lists as tuples."""
+    allowed = (list,) if want is tuple else typing.get_args(want) or (want,)
+    if float in allowed and type(value) is int:
+        return float(value)
+    if type(value) not in allowed:
+        raise ValueError(f"config field {name!r} must be "
+                         f"{' or '.join(t.__name__ for t in allowed)}, not {value!r}")
+    return value

@@ -93,93 +93,62 @@ def _load_dictionary(path: str, train_set, copies: int = 1):
     return _load(sampling.load_dictionary_csv, path, "dictionary", train_set)
 
 
-_CONFIG_FIELDS = {
-    "target": str, "n_train": int, "n_val": int, "n_test": int,
-    "dict_size": int, "prune": bool, "prune_threshold": float,
-    "drop_tol": float, "max_iter": int, "n_nodes": int,
-    "epochs": int, "gsn_batch": int, "random_batch": int,
-    "initial_lr": float, "decay_rate": float,
-    "n_restarts": int, "seed": int, "threads": int,
-    "quad_r_max": float,
-    "node_counts": list,
-}
-
-
-def load_config_file(path: str) -> dict:
-    with open(_require_file(path, "config")) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config file is not valid JSON: {exc}") from exc
+def load_experiment_config(path: str | None, target_id: str | None = None,
+                           seed: int | None = None) -> tuple[bench.ExperimentConfig, dict]:
+    """The config file (a full or partial manifest 'config' object) laid over the
+    example defaults, and the file's document. A file that sets no thread count
+    gets GSN_THREADS or the CPU count."""
+    doc = _load(bench.load_manifest, path, "config") if path else {}
     if not isinstance(doc, dict):
-        raise CliError("config file must hold a JSON object")
-    for key, value in doc.items():
-        if key not in _CONFIG_FIELDS:
-            raise CliError(f"unknown config field {key!r}")
-        want = _CONFIG_FIELDS[key]
-        if isinstance(value, bool) and want is not bool:
-            raise CliError(f"config field {key!r} must be {want.__name__}, not a boolean")
-        if want is float and isinstance(value, int):
-            continue
-        if not isinstance(value, want):
-            raise CliError(f"config field {key!r} must be {want.__name__}")
-    counts = doc.get("node_counts")
-    if counts is not None and not (counts and all(type(n) is int and n > 0 for n in counts)):
-        raise CliError("config field 'node_counts' must be a non-empty list of positive integers")
-    return doc
-
-
-def build_experiment_config(args) -> bench.ExperimentConfig:
-    doc = load_config_file(args.config) if args.config else {}
-    target = args.example or doc.get("target")
-    if target is None:
-        raise CliError("an example id (ex1..ex6) or config 'target' is required")
-    if target not in bench.EXAMPLE_IDS:
-        raise CliError(f"unknown example id {target!r}; expected one of {', '.join(bench.EXAMPLE_IDS)}")
-
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    cfg = bench.default_config(target, seed=seed)
-
-    overrides = {}
-    for key in ("n_train", "n_val", "n_test", "dict_size", "prune_threshold",
-                "drop_tol", "max_iter", "n_nodes", "n_restarts", "quad_r_max"):
-        if key in doc:
-            overrides[key] = doc[key]
-    if "prune" in doc:
-        overrides["prune"] = doc["prune"]
-    if args.no_prune:
-        overrides["prune"] = False
-    if args.nodes is not None:
-        overrides["n_nodes"] = args.nodes
-
-    if args.restarts is not None:
-        overrides["n_restarts"] = args.restarts
-
-    threads = args.threads if args.threads is not None else doc.get("threads", default_threads())
+        raise CliError(f"config file {path} must hold a JSON object")
     try:
-        return replace(cfg, gsn_train=_train_config(cfg.gsn_train, doc, args, "gsn_batch"),
-                       random_train=_train_config(cfg.random_train, doc, args, "random_batch"),
-                       threads=threads, **overrides)
-    except (ValueError, TypeError) as exc:
+        cfg = bench.config_from_dict({"threads": default_threads(), **doc}, target_id, seed)
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
+    return cfg, doc
 
 
-def _train_config(base: train.TrainConfig, doc: dict, args, batch_key: str) -> train.TrainConfig:
-    """One branch's training config: the example default, then the file, then the flags."""
-    fields = {"epochs": args.epochs if args.epochs is not None else doc.get("epochs"),
-              "batch_size": args.batch if args.batch is not None else doc.get(batch_key),
-              "initial_lr": doc.get("initial_lr"), "decay_rate": doc.get("decay_rate")}
-    return replace(base, **{k: v for k, v in fields.items() if v is not None})
+def _with_flags(obj, args, **options):
+    """``obj`` with the fields of the flags given replaced, checked by its own
+    __post_init__; ``options`` maps each field to its flag, whose dest it is."""
+    given = {field: getattr(args, field) for field in options if getattr(args, field) is not None}
+    try:
+        return replace(obj, **given)
+    except ValueError as exc:
+        raise CliError(f"invalid {' '.join(options[field] for field in given)}: {exc}") from exc
+
+
+def build_experiment_config(args) -> tuple[bench.ExperimentConfig, dict]:
+    """The config of `gsn bench`/`gsn sample`: file, then flags. Also returns the
+    document `gsn sample` writes, ``to_dict()`` plus an ex6 sweep's node counts."""
+    cfg, doc = load_experiment_config(args.config, args.example, args.seed)
+    train_flags = {"epochs": "--epochs", "batch_size": "--batch"}
+    cfg = replace(cfg, gsn_train=_with_flags(cfg.gsn_train, args, **train_flags),
+                  random_train=_with_flags(cfg.random_train, args, **train_flags))
+    cfg = _with_flags(cfg, args, n_nodes="--nodes", n_restarts="--restarts", threads="--threads",
+                      prune="--no-prune")
+    resolved = cfg.to_dict()
+    if cfg.target_id == "ex6":
+        resolved["node_counts"] = doc.get("node_counts", list(bench.EX6_SWEEP_DEFAULT))
+    return cfg, resolved
+
+
+def _stage_config(args, **options) -> bench.ExperimentConfig:
+    """A stage's config: its --config file, else the ExperimentConfig defaults (the
+    example and sizes are placeholders), with the flags ``options`` maps fields to."""
+    if args.config:
+        cfg = load_experiment_config(args.config)[0]
+    else:
+        cfg = bench.ExperimentConfig(bench.EXAMPLE_IDS[0], 1, 1, 1, 1, threads=default_threads())
+    return _with_flags(cfg, args, **options)
 
 
 def cmd_bench(args) -> int:
-    cfg = build_experiment_config(args)
+    cfg, doc = build_experiment_config(args)
     check_dictionary_fits(cfg.n_train, cfg.dict_size, 2 if cfg.prune else 1)
     os.makedirs(args.out, exist_ok=True)
     if cfg.target_id == "ex6":
-        doc = load_config_file(args.config) if args.config else {}
-        counts = doc.get("node_counts", list(bench.EX6_SWEEP_DEFAULT))
-        report = bench.node_sweep(cfg, counts)
+        report = bench.node_sweep(cfg, doc["node_counts"])
         run_dir = bench.write_sweep_artifacts(report, args.out)
     else:
         report = bench.run_experiment(cfg)
@@ -189,7 +158,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg = build_experiment_config(args)
+    cfg, doc = build_experiment_config(args)
     os.makedirs(args.out, exist_ok=True)
     train_set, val_set, test_set = bench.make_datasets(cfg)
     directions = bench.make_directions(cfg)
@@ -197,16 +166,18 @@ def cmd_sample(args) -> int:
     sampling.save_dataset_csv(val_set, os.path.join(args.out, "val.csv"))
     sampling.save_dataset_csv(test_set, os.path.join(args.out, "test.csv"))
     sampling.save_directions_csv(directions, os.path.join(args.out, "directions.csv"))
-    print(f"wrote datasets and {len(directions)} directions to {args.out}")
+    bench.write_manifest(doc, os.path.join(args.out, "config.json"))
+    print(f"wrote config.json, datasets and {len(directions)} directions to {args.out}")
     return EXIT_OK
 
 
 def cmd_dict(args) -> int:
+    cfg = _stage_config(args, drop_tol="--drop-tol")
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     directions = _load(sampling.load_directions_csv, args.directions, "directions", train_set.dim)
     check_dictionary_fits(train_set.n_points, len(directions))
     try:
-        dictionary = sampling.build_dictionary(train_set, directions, args.drop_tol)
+        dictionary = sampling.build_dictionary(train_set, directions, cfg.drop_tol)
     except ValueError as exc:  # no direction, or none live on this training set
         raise CliError(f"no dictionary from directions file {args.directions}: {exc}") from exc
     sampling.save_dictionary_csv(dictionary, args.out)
@@ -215,23 +186,19 @@ def cmd_dict(args) -> int:
 
 
 def cmd_ridgelet(args) -> int:
-    try:
-        quad = ridgelet.RadialQuadrature(args.r_max)
-    except ValueError as exc:
-        raise CliError(f"invalid --r-max: {exc}") from exc
+    cfg = _stage_config(args, quad_r_max="--r-max", threads="--threads")
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     directions = _load(sampling.load_directions_csv, args.directions, "directions", train_set.dim)
     if len(directions) == 0:
         raise CliError(f"directions file {args.directions} holds no direction")
-    fld = ridgelet.collapsed_field(train_set, directions, quad, threads=args.threads or default_threads())
+    fld = ridgelet.collapsed_field(train_set, directions, cfg.quadrature, threads=cfg.threads)
     ridgelet.save_field_csv(fld, args.out)
     print(f"wrote collapsed transform for {len(directions)} directions -> {args.out}")
     return EXIT_OK
 
 
 def cmd_prune(args) -> int:
-    if not 0.0 <= args.threshold < 1.0:
-        raise CliError("invalid threshold, must lie in [0, 1)")
+    cfg = _stage_config(args, prune_threshold="--threshold")
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     fld = _load(ridgelet.load_field_csv, args.field, "field")
     dictionary = _load_dictionary(args.dict, train_set, copies=2)
@@ -243,23 +210,22 @@ def cmd_prune(args) -> int:
         raise CliError(f"field {args.field} was computed on other directions than "
                        f"dictionary {args.dict}")
     sub = ridgelet.CollapsedField(dictionary.directions, fld.values[src])
-    pruned = ridgelet.prune_dictionary(dictionary, sub, args.threshold)
+    pruned = ridgelet.prune_dictionary(dictionary, sub, cfg.prune_threshold)
     sampling.save_dictionary_csv(pruned, args.out)
     print(f"kept {pruned.n_atoms} of {dictionary.n_atoms} atoms -> {args.out}")
     return EXIT_OK
 
 
 def cmd_greedy(args) -> int:
-    if args.nodes is not None and args.nodes < 1:
-        raise CliError("--nodes must be >= 1")
+    cfg = _stage_config(args, max_iter="--max-iter", n_nodes="--nodes")
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     val_set = _load(sampling.load_dataset_csv, args.val, "validation set")
     dictionary = _load_dictionary(args.dict, train_set)
-    path = greedy.oga_run(dictionary, train_set, val_set, args.max_iter)
+    path = greedy.oga_run(dictionary, train_set, val_set, cfg.max_iter)
     if not path.records:
         raise CliError("greedy selected nothing; increase --max-iter")
     greedy.save_path_csv(path, args.out)
-    n = args.nodes if args.nodes is not None else greedy.select_model(path)
+    n = cfg.n_nodes if cfg.n_nodes is not None else greedy.select_model(path)
     n = min(n, len(path.records))
     chosen = path.atom_indices[:n]
     doc = {
@@ -302,18 +268,19 @@ def cmd_train(args) -> int:
     if net0.input_dim != train_set.dim:
         raise CliError(f"network {args.network} has input dimension {net0.input_dim}; "
                        f"the training set has {train_set.dim}")
-    try:
-        cfg = train.TrainConfig(
-            epochs=args.epochs,
-            batch_size=train_set.n_points if args.batch is None else args.batch,
-            seed=sampling.substream_seed(args.seed or 0, "shuffle"))
-    except ValueError as exc:
-        raise CliError(f"invalid training option: {exc}") from exc
+    if args.config:
+        base = load_experiment_config(args.config)[0].gsn_train
+    else:  # full batch, shuffled from the default master seed
+        base = train.TrainConfig(batch_size=train_set.n_points, seed=sampling.substream_seed(
+            bench.ExperimentConfig.seed, "shuffle"))
+    cfg = _with_flags(base, args, epochs="--epochs", batch_size="--batch")
+    if args.seed is not None:
+        cfg = replace(cfg, seed=sampling.substream_seed(args.seed, "shuffle"))
     net, curve = train.train(net0, train_set, val_set, cfg)
     save_network(net, args.out)
     if args.loss_out:
         train.save_loss_csv(curve, args.loss_out)
-    print(f"trained {net.n_nodes}-node network for {args.epochs} epochs -> {args.out}")
+    print(f"trained {net.n_nodes}-node network for {cfg.epochs} epochs -> {args.out}")
     return EXIT_OK
 
 
@@ -344,66 +311,51 @@ def build_parser() -> argparse.ArgumentParser:
         description="Greedy shallow ReLU network construction and benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_out=True):
+    config_help = "JSON config: a full or partial manifest 'config' object"
+    for name, fn, text in (("bench", cmd_bench, "run a full benchmark (pipeline + baseline)"),
+                           ("sample", cmd_sample, "write config.json, datasets and directions")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("example", nargs="?", default=None, help="example id ex1..ex6")
+        p.add_argument("--no-prune", dest="prune", action="store_false", default=None,
+                       help="skip dictionary pruning")
+        p.add_argument("--nodes", dest="n_nodes", type=int, default=None, help="fix the node count")
+        p.add_argument("--epochs", type=int, default=None, help="override training epochs")
+        p.add_argument("--batch", dest="batch_size", type=int, default=None,
+                       help="override both batch sizes")
+        p.add_argument("--restarts", dest="n_restarts", type=int, default=None,
+                       help="random-init restarts")
         p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-        p.add_argument("--config", default=None, help="JSON config file")
+        p.add_argument("--config", default=None, help=config_help)
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads (default: GSN_THREADS or CPU count)")
-        if with_out:
-            p.add_argument("--out", default="runs", help="output directory")
+        p.add_argument("--out", default="runs", help="output directory")
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("bench", help="run a full benchmark (pipeline + baseline)")
-    p.add_argument("example", nargs="?", default=None, help="example id ex1..ex6")
-    p.add_argument("--no-prune", action="store_true", help="skip dictionary pruning")
-    p.add_argument("--nodes", type=int, default=None, help="fix the node count")
-    p.add_argument("--epochs", type=int, default=None, help="override training epochs")
-    p.add_argument("--batch", type=int, default=None, help="override both batch sizes")
-    p.add_argument("--restarts", type=int, default=None, help="random-init restarts")
-    common(p)
-    p.set_defaults(fn=cmd_bench)
+    def stage(name, fn, text, inputs, fields, prefix=""):
+        """A stage parser: --config, then one flag per config field it reads
+        (dest = field name; unset flags take the config's value)."""
+        p = sub.add_parser(name, help=text)
+        for flag in inputs:
+            p.add_argument(flag, required=True)
+        p.add_argument("--config", default=None, help=config_help + " (config.json of gsn sample)")
+        for flag, field, kind in fields:
+            p.add_argument(flag, dest=field, type=kind, default=None,
+                           help=f"default: the config's {prefix}{field}")
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("sample", help="write train/val/test datasets and directions")
-    p.add_argument("example", nargs="?", default=None, help="example id ex1..ex6")
-    p.add_argument("--no-prune", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--nodes", type=int, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--epochs", type=int, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--batch", type=int, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--restarts", type=int, default=None, help=argparse.SUPPRESS)
-    common(p)
-    p.set_defaults(fn=cmd_sample)
-
-    p = sub.add_parser("dict", help="build the atom dictionary from artifacts")
-    p.add_argument("--train", required=True)
-    p.add_argument("--directions", required=True)
-    p.add_argument("--drop-tol", type=float, default=bench.ExperimentConfig.drop_tol)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_dict)
-
-    p = sub.add_parser("ridgelet", help="collapsed transform over sampled directions")
-    p.add_argument("--train", required=True)
-    p.add_argument("--directions", required=True)
-    p.add_argument("--r-max", type=float, default=bench.ExperimentConfig.quad_r_max)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_ridgelet)
-
-    p = sub.add_parser("prune", help="threshold the dictionary by field magnitude")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dict", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--threshold", type=float, default=bench.ExperimentConfig.prune_threshold)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_prune)
-
-    p = sub.add_parser("greedy", help="orthogonal greedy selection over a dictionary")
-    p.add_argument("--train", required=True)
-    p.add_argument("--val", required=True)
-    p.add_argument("--dict", required=True)
-    p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--nodes", type=int, default=None, help="fix the node count")
-    p.add_argument("--out", required=True, help="path CSV")
+    stage("dict", cmd_dict, "build the atom dictionary from artifacts",
+          ["--train", "--directions"], [("--drop-tol", "drop_tol", float)])
+    stage("ridgelet", cmd_ridgelet, "collapsed transform over sampled directions",
+          ["--train", "--directions"],
+          [("--r-max", "quad_r_max", float), ("--threads", "threads", int)])
+    stage("prune", cmd_prune, "threshold the dictionary by field magnitude",
+          ["--train", "--dict", "--field"], [("--threshold", "prune_threshold", float)])
+    p = stage("greedy", cmd_greedy, "orthogonal greedy selection over a dictionary",
+              ["--train", "--val", "--dict"],
+              [("--max-iter", "max_iter", int), ("--nodes", "n_nodes", int)])
     p.add_argument("--nodes-out", required=True, help="selected nodes JSON")
-    p.set_defaults(fn=cmd_greedy)
 
     p = sub.add_parser("fit", help="least-squares outer weights for selected nodes")
     p.add_argument("--train", required=True)
@@ -411,16 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="network JSON")
     p.set_defaults(fn=cmd_fit)
 
-    p = sub.add_parser("train", help="fine-tune a network with Adam")
-    p.add_argument("--network", required=True)
-    p.add_argument("--train", required=True)
+    p = stage("train", cmd_train, "fine-tune a network with Adam", ["--network", "--train"],
+              [("--epochs", "epochs", int), ("--batch", "batch_size", int)], "gsn_train.")
+    p.add_argument("--seed", type=int, default=None,
+                   help="master seed of the shuffle seed (default: the config's gsn_train.seed)")
     p.add_argument("--val", default=None)
-    p.add_argument("--epochs", type=int, default=10_000)
-    p.add_argument("--batch", type=int, default=None, help="batch size (default full batch)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.add_argument("--loss-out", default=None)
-    p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("report", help="summarize a run directory's manifest")
     p.add_argument("run", help="run directory or manifest path")

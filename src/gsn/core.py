@@ -150,8 +150,8 @@ class Dictionary:
             raise ValueError("source_indices must be unique")
         for lo in range(0, features.shape[1], _NORM_CHECK_COLUMNS):
             norms = np.linalg.norm(features[:, lo:lo + _NORM_CHECK_COLUMNS], axis=0)
-            if np.any(np.abs(norms - 1.0) > 1e-10):
-                raise ValueError("all atom feature columns must have unit norm")
+            if not np.all(np.abs(norms - 1.0) <= 1e-10):
+                raise ValueError("all atom feature columns must be finite with unit norm")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "raw_norms", raw_norms)
         object.__setattr__(self, "directions", directions)

@@ -42,10 +42,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.initial_lr <= 0.0:
-            raise ValueError("initial_lr must be positive")
-        if self.decay_rate < 0.0:
-            raise ValueError("decay_rate must be >= 0")
+        if not 0.0 < self.initial_lr < math.inf:
+            raise ValueError("initial_lr must be finite and positive")
+        if not 0.0 <= self.decay_rate < math.inf:
+            raise ValueError("decay_rate must be finite and >= 0")
 
 
 @dataclass

@@ -6,7 +6,8 @@ import pytest
 from gsn import bench, cli
 from gsn.bench import PipelineError
 from gsn.core import Dataset, load_network
-from gsn.sampling import load_dataset_csv, load_dictionary_csv, save_dataset_csv
+from gsn.sampling import (build_dictionary, load_dataset_csv, load_dictionary_csv,
+                          load_directions_csv, save_dataset_csv)
 
 
 def run_cli(*argv):
@@ -114,58 +115,91 @@ def test_stage_idempotence(tmp_path):
     assert (out / "train.csv").read_bytes() == first
 
 
-def check_stage_chain_matches_bench(tmp_path, prune):
-    """sample -> dict [-> ridgelet -> prune] -> greedy -> fit, with default
-    stage flags, reproduces the bench manifest numbers."""
-    cfgp = write_tiny_config(tmp_path)
+def check_stage_chain_matches_bench(tmp_path, example, epochs, *flags):
+    """sample -> dict [-> ridgelet -> prune] -> greedy -> fit -> train, each stage
+    given the sample's config.json and no value flag, reproduces the bench
+    manifest numbers of the same call."""
+    call = [example, "--seed", "3", "--epochs", str(epochs), "--restarts", "1",
+            "--threads", "1", *flags]
     bench_out = tmp_path / "bench"
-    assert run_cli("bench", "ex1", "--seed", "3", "--out", str(bench_out),
-                   "--epochs", "0", "--restarts", "1", "--threads", "1",
-                   "--config", str(cfgp), *([] if prune else ["--no-prune"])) == 0
-    results = manifest_in(bench_out)["results"]
+    assert run_cli("bench", *call, "--out", str(bench_out)) == 0
+    doc = manifest_in(bench_out)
+    results = doc["results"]
 
     stage = tmp_path / "stage"
-    assert run_cli("sample", "ex1", "--seed", "3", "--out", str(stage),
-                   "--config", str(cfgp)) == 0
-    assert run_cli("dict", "--train", str(stage / "train.csv"),
-                   "--directions", str(stage / "directions.csv"),
+    assert run_cli("sample", *call, "--out", str(stage)) == 0
+    cfg = ["--config", str(stage / "config.json")]
+    train_csv = ["--train", str(stage / "train.csv")]
+    assert run_cli("dict", *cfg, *train_csv, "--directions", str(stage / "directions.csv"),
                    "--out", str(stage / "dictionary.csv")) == 0
     dict_path = stage / "dictionary.csv"
-    if prune:
-        assert run_cli("ridgelet", "--train", str(stage / "train.csv"),
+    if doc["config"]["prune"]:
+        assert run_cli("ridgelet", *cfg, *train_csv,
                        "--directions", str(stage / "directions.csv"),
-                       "--threads", "1", "--out", str(stage / "field.csv")) == 0
-        assert run_cli("prune", "--train", str(stage / "train.csv"),
-                       "--dict", str(dict_path), "--field", str(stage / "field.csv"),
-                       "--out", str(stage / "pruned.csv")) == 0
+                       "--out", str(stage / "field.csv")) == 0
+        assert run_cli("prune", *cfg, *train_csv, "--dict", str(dict_path),
+                       "--field", str(stage / "field.csv"), "--out", str(stage / "pruned.csv")) == 0
         dict_path = stage / "pruned.csv"
-    assert run_cli("greedy", "--train", str(stage / "train.csv"),
-                   "--val", str(stage / "val.csv"),
-                   "--dict", str(dict_path),
-                   "--max-iter", "6",
-                   "--out", str(stage / "path.csv"),
+    assert run_cli("greedy", *cfg, *train_csv, "--val", str(stage / "val.csv"),
+                   "--dict", str(dict_path), "--out", str(stage / "path.csv"),
                    "--nodes-out", str(stage / "nodes.json")) == 0
-    assert run_cli("fit", "--train", str(stage / "train.csv"),
-                   "--nodes", str(stage / "nodes.json"),
+    assert run_cli("fit", *train_csv, "--nodes", str(stage / "nodes.json"),
                    "--out", str(stage / "network.json")) == 0
+    assert run_cli("train", *cfg, *train_csv, "--val", str(stage / "val.csv"),
+                   "--network", str(stage / "network.json"),
+                   "--out", str(stage / "trained.json")) == 0
 
     train_set = load_dataset_csv(stage / "train.csv")
+    test_set = load_dataset_csv(stage / "test.csv")
     assert load_dictionary_csv(dict_path, train_set).n_atoms == results["dictionary_size_after_prune"]
     nodes_doc = json.loads((stage / "nodes.json").read_text())
     assert nodes_doc["selected_nodes"] == results["selected_nodes"]
-    net = load_network(stage / "network.json")
-    err = bench.compute_errors(net, load_dataset_csv(stage / "test.csv"))
-    assert err.rel_l2 == results["errors"]["gsn_init"]["rel_l2"]
+    for network, branch in (("network.json", "gsn_init"), ("trained.json", "gsn_trained")):
+        err = bench.compute_errors(load_network(stage / network), test_set)
+        assert err.rel_l2 == results["errors"][branch]["rel_l2"]
     return results
 
 
 def test_stage_chain_matches_bench(tmp_path):
-    check_stage_chain_matches_bench(tmp_path, prune=False)
+    check_stage_chain_matches_bench(tmp_path, "ex1", 5, "--config",
+                                    str(write_tiny_config(tmp_path)), "--no-prune")
 
 
 def test_stage_chain_matches_bench_pruned(tmp_path):
-    results = check_stage_chain_matches_bench(tmp_path, prune=True)
+    results = check_stage_chain_matches_bench(tmp_path, "ex1", 5, "--config",
+                                              str(write_tiny_config(tmp_path)))
     assert results["dictionary_size_after_prune"] < results["dictionary_size_before_prune"]
+
+
+def test_stage_chain_matches_bench_ex3_pruned(tmp_path):
+    # ex3's default max_iter (80), which the greedy stage must take from
+    # config.json: with its former fixed default of 50 it selected 50 nodes
+    cfgp = tmp_path / "ex3.json"
+    cfgp.write_text(json.dumps({"dict_size": 3000}))
+    results = check_stage_chain_matches_bench(tmp_path, "ex3", 1, "--config", str(cfgp))
+    assert results["selected_nodes"] > 50
+
+
+@pytest.mark.parametrize("source", ["sample", "manifest"])
+def test_bench_config_round_trip(tmp_path, source):
+    # a sample's config.json, or a manifest's config object, given back to
+    # gsn bench names the same run directory; --seed re-derives the shuffle seeds
+    def bench_dir(out, *argv):
+        assert run_cli("bench", *argv, "--out", str(out)) == 0
+        return [p.name for p in out.iterdir()]
+
+    call = ["ex1", "--seed", "3", "--epochs", "2", "--restarts", "1", "--threads", "1",
+            "--config", str(write_tiny_config(tmp_path))]
+    original = bench_dir(tmp_path / "a", *call)
+    if source == "sample":
+        assert run_cli("sample", *call, "--out", str(tmp_path / "s")) == 0
+        cfgp = tmp_path / "s" / "config.json"
+    else:
+        cfgp = tmp_path / "manifest_config.json"
+        cfgp.write_text(json.dumps(manifest_in(tmp_path / "a")["config"]))
+    assert bench_dir(tmp_path / "b", "--config", str(cfgp)) == original
+    reseeded = bench_dir(tmp_path / "c", *call[:1], "--seed", "4", *call[3:])
+    assert bench_dir(tmp_path / "d", "--config", str(cfgp), "--seed", "4") == reseeded != original
 
 
 @pytest.mark.parametrize("extra", [[], ["--no-prune"]])
@@ -288,9 +322,41 @@ def test_dict_refuses_dictionary_beyond_memory(tmp_path, capsys, monkeypatch):
     assert not (out / "dictionary.csv").exists()
 
 
-def test_dict_drop_tol_default_matches_bench():
-    args = cli.build_parser().parse_args(["dict", "--train", "t", "--directions", "d", "--out", "o"])
-    assert args.drop_tol == bench.ExperimentConfig.drop_tol
+def test_dict_drop_tol_default_matches_bench(tmp_path):
+    # gsn dict drops atoms at the ExperimentConfig default without --config,
+    # at the file's drop_tol with one, and at --drop-tol over both
+    out = tmp_path / "s"
+    assert run_cli("sample", "ex1", "--seed", "0", "--out", str(out),
+                   "--config", str(write_tiny_config(tmp_path))) == 0
+    train_set = load_dataset_csv(out / "train.csv")
+    directions = load_directions_csv(out / "directions.csv", 1)
+    tol = float(np.median(build_dictionary(train_set, directions, 0.0).raw_norms))
+    doc = json.loads((out / "config.json").read_text())
+    assert doc["drop_tol"] == bench.ExperimentConfig.drop_tol
+    cfgp = tmp_path / "tol.json"
+    cfgp.write_text(json.dumps({**doc, "drop_tol": tol}))
+    for flags, want in [([], bench.ExperimentConfig.drop_tol), (["--config", str(cfgp)], tol),
+                        (["--config", str(cfgp), "--drop-tol", "0"], 0.0)]:
+        assert run_cli("dict", "--train", str(out / "train.csv"), *flags,
+                       "--directions", str(out / "directions.csv"),
+                       "--out", str(out / "dictionary.csv")) == 0
+        kept = load_dictionary_csv(out / "dictionary.csv", train_set).n_atoms
+        assert kept == build_dictionary(train_set, directions, want).n_atoms
+    assert 0 < build_dictionary(train_set, directions, tol).n_atoms < len(directions)
+
+
+@pytest.mark.parametrize("argv", [["dict", "--drop-tol", "-1"], ["dict", "--drop-tol", "nan"],
+                                  ["ridgelet", "--threads", "-1"], ["ridgelet", "--threads", "0"]],
+                         ids=" ".join)
+def test_stage_flags_checked_by_config(tmp_path, capsys, argv):
+    out = tmp_path / "s"
+    assert run_cli("sample", "ex1", "--seed", "0", "--out", str(out),
+                   "--config", str(write_tiny_config(tmp_path))) == 0
+    code = run_cli(*argv, "--config", str(out / "config.json"), "--train", str(out / "train.csv"),
+                   "--directions", str(out / "directions.csv"), "--out", str(out / "result.csv"))
+    assert code == 2
+    assert f"invalid {argv[1]}: " in capsys.readouterr().err
+    assert not (out / "result.csv").exists()
 
 
 # A good unit row plus one faulty row, per fault: (CSV rows, JSON "a"/"b" pairs).
@@ -370,7 +436,7 @@ def test_ridgelet_without_directions_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("fields", [
     {"n_train": True},
     {"dict_size": False},
-    {"initial_lr": True},
+    {"gsn_train": {"initial_lr": True}},
     {"node_counts": [-3]},
     {"node_counts": [0]},
     {"node_counts": ["a"]},
@@ -380,7 +446,22 @@ def test_ridgelet_without_directions_exits_2(tmp_path, capsys):
     {"n_nodes": 0},
     {"n_nodes": -3},
     {"max_iter": 0},
-    {"epochs": -1},
+    {"gsn_train": {"epochs": -1}},
+    {"threads": 0},
+    {"threads": -1},
+    {"drop_tol": -1},
+    {"drop_tol": float("nan")},
+    {"gsn_train": {"initial_lr": float("nan")}},
+    {"random_train": {"decay_rate": float("nan")}},
+    {"drop_tol": float("inf")},
+    {"quad_r_max": float("inf")},
+    {"gsn_train": {"initial_lr": float("inf")}},
+    {"random_train": {"decay_rate": float("inf")}},
+    {"random_train": {"decay_rate": -1}},
+    {"random_train": 3},
+    {"epochs": 10},
+    {"gsn_batch": 5},
+    {"target": "ex1"},
 ])
 @pytest.mark.parametrize("example", ["ex1", "ex6"])
 def test_config_field_types_checked_before_any_work(tmp_path, capsys, monkeypatch, fields, example):
@@ -462,7 +543,7 @@ def test_prune_rejects_field_of_other_directions(tmp_path, capsys, other):
 
 
 @pytest.mark.parametrize("flags", [["--nodes", "0"], ["--nodes", "-3"], ["--epochs", "-1"],
-                                   ["--batch", "0"]], ids=" ".join)
+                                   ["--batch", "0"], ["--threads", "0"]], ids=" ".join)
 @pytest.mark.parametrize("example", ["ex1", "ex6"])
 def test_bench_count_flags_checked_before_any_work(tmp_path, capsys, monkeypatch, flags, example):
     def never(*args):
@@ -495,5 +576,5 @@ def test_train_rejects_bad_options(tmp_path, capsys, flag, value):
     code = run_cli("train", "--network", str(network), "--train", str(out / "train.csv"),
                    flag, value, "--out", str(out / "trained.json"))
     assert code == 2
-    assert "invalid training option" in capsys.readouterr().err
+    assert f"invalid {flag}: " in capsys.readouterr().err
     assert not (out / "trained.json").exists()

@@ -122,6 +122,15 @@ def test_containers_reject_bad_directions(container, fault):
         CONTAINERS[container](BAD_ROWS[fault])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, 2.0])
+def test_dictionary_rejects_non_unit_feature_columns(bad):
+    # a NaN column passed the former check, abs(nan - 1) > tol being False
+    features = np.eye(3)
+    features[:, 1] = [bad, 0.0, 0.0]
+    with pytest.raises(ValueError, match="finite with unit norm"):
+        Dictionary(features, np.ones(3), [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], np.arange(3))
+
+
 @pytest.mark.parametrize("container", sorted(CONTAINERS))
 def test_containers_accept_unit_rows(container, rng):
     W = unit_rows(rng, 3, 3)
