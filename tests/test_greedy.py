@@ -13,7 +13,7 @@ from gsn.greedy import (
     oga_step,
     select_model,
 )
-from gsn.sampling import build_dictionary, sample_circle
+from gsn.sampling import build_dictionary, sample_circle, sample_gaussian_sphere
 
 from conftest import synthetic_dictionary, unit_rows, vector_dataset
 
@@ -136,21 +136,35 @@ def test_convex_hull_rate(rng):
     assert slope <= -0.4
 
 
-def test_coefficient_recovery_reproduces_projection(rng):
+def _ill_conditioned_1d(rng):
+    # 40-point grid, 200 circle directions, run to 40 atoms: the selected
+    # features reach condition number ~4e6; validation points lie off the grid
     x = np.linspace(-1, 1, 40)[:, None]
     ds = Dataset(x, rng.standard_normal(40), [[-1, 1]])
-    dic = build_dictionary(ds, sample_circle(200, seed=3))
-    val = Dataset(x[:10], ds.targets[:10], [[-1, 1]])
-    path = oga_run(dic, ds, val, max_iter=12)
-    state = init_state(dic, ds.targets, max_iter_hint=12)
-    for _ in range(len(path.records)):
-        state, _ = oga_step(state, dic)
-    w = state.recover_weights()
-    # w weighs the unit atoms, so each outer weight divides by the atom's raw norm
-    net = ShallowNetwork(dic.directions[state.selected], w / dic.raw_norms[state.selected])
-    pred = batch_eval(net, ds.inputs)
-    projection = ds.targets - state.residual
-    assert np.linalg.norm(pred - projection) <= 1e-8 * np.linalg.norm(ds.targets)
+    xv = np.linspace(-0.98, 0.98, 25)[:, None]
+    return ds, Dataset(xv, np.sin(3 * xv[:, 0]), [[-1, 1]]), sample_circle(200, seed=3), 40
+
+
+def _random_2d(rng):
+    X, Xv = rng.uniform(-1, 1, (60, 2)), rng.uniform(-1, 1, (30, 2))
+    ds = Dataset(X, np.sin(X.sum(axis=1)), [[-1, 1]] * 2)
+    val = Dataset(Xv, np.sin(Xv.sum(axis=1)), [[-1, 1]] * 2)
+    return ds, val, sample_gaussian_sphere(2, 500, seed=1), 30
+
+
+@pytest.mark.parametrize("case", [_ill_conditioned_1d, _random_2d])
+def test_validation_error_matches_least_squares_fit(rng, case):
+    ds, val, directions, max_iter = case(rng)
+    dic = build_dictionary(ds, directions)
+    path = oga_run(dic, ds, val, max_iter=max_iter)
+    assert len(path) == max_iter
+    for rec in path.records:
+        sel = path.atom_indices[:rec.iteration]
+        w = np.linalg.lstsq(dic.features[:, sel], ds.targets, rcond=None)[0]
+        # w weighs the unit atoms, so each outer weight divides by the atom's raw norm
+        net = ShallowNetwork(dic.directions[sel], w / dic.raw_norms[sel])
+        rmse = np.linalg.norm(batch_eval(net, val.inputs) - val.targets) / np.sqrt(val.n_points)
+        assert rec.validation_error == pytest.approx(rmse, rel=1e-9), rec.iteration
 
 
 def test_oga_run_zero_iterations(rng):

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.special import gammainc, gammaincc
 
 from gsn.core import Dataset
 from gsn.ridgelet import (
     CollapsedField,
     RadialQuadrature,
+    _gamma_cutoff,
+    _gamma_p_over_power,
     _radial_profile,
     collapsed_field,
     load_field_csv,
@@ -133,6 +136,27 @@ def test_radial_profile_matches_adaptive_quadrature(dim):
                          0.0, X, limit=200)
         assert _radial_profile(np.array([X]), dim)[0] == pytest.approx(
             moment / X ** (dim + 2), rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_gamma_p_over_power_matches_scipy(dim):
+    # a log grid plus both sides of the two range boundaries, x = a + 1 and the cutoff
+    a = 0.5 * (dim + 2)
+    edges = np.array([a + 1.0, _gamma_cutoff(a)])
+    x = np.concatenate([np.logspace(-18, 3, 20_001),
+                        np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+    want = gammainc(a, x) / x**a
+    assert np.abs(_gamma_p_over_power(a, x) / want - 1.0).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_gamma_p_over_power_cutoff(dim):
+    # P rounds to 1 from the cutoff on, where the value is exactly 1 / x^a
+    a = 0.5 * (dim + 2)
+    cut = _gamma_cutoff(a)
+    assert gammaincc(a, cut) < 2.0**-53
+    x = cut + np.array([0.0, 1e-9, 0.5, 3.0, 100.0, 1e4])
+    assert np.array_equal(_gamma_p_over_power(a, x), 1.0 / x**a)
 
 
 def test_d1_field_vanishes_away_from_hyperplane():
