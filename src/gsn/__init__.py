@@ -18,7 +18,6 @@ from .core import (
     rescale_node,
 )
 from .sampling import (
-    SamplerConfig,
     build_dictionary,
     generate_dataset,
     golden_spiral,
@@ -31,7 +30,7 @@ from .ridgelet import (
     prune_dictionary,
     tau,
 )
-from .greedy import GreedyPath, GreedyState, init_state, oga_run, oga_step, select_model
+from .greedy import GreedyPath, GreedyState, oga_run, oga_step, select_model
 from .solve import DesignMatrix, assemble_design, fit_outer_weights
 from .train import TrainConfig, lr_at, multi_restart
 from .bench import ExperimentConfig, compute_errors, default_config, node_sweep, run_experiment, target_registry

@@ -251,14 +251,7 @@ def make_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
 
 
 def make_directions(cfg: ExperimentConfig) -> np.ndarray:
-    target = get_target(cfg.target_id)
-    sampler = sampling.SamplerConfig(
-        dimension=target.dimension,
-        count=cfg.dict_size,
-        seed=cfg.seed,
-        scheme=sampling.default_scheme(target.dimension),
-    )
-    return sampling.sample_directions(sampler)
+    return sampling.sample_directions(get_target(cfg.target_id).dimension, cfg.dict_size, cfg.seed)
 
 
 @dataclass
@@ -442,6 +435,7 @@ class SweepReport:
     node_counts: tuple
     points: list
     base: GsnBranch
+    random_timing: float  # summed over the sweep points' baselines
 
     def manifest(self) -> dict:
         rows = []
@@ -453,7 +447,7 @@ class SweepReport:
                 row["random_trained"] = p.random_trained.as_dict()
             rows.append(row)
         return {
-            "meta": _meta(self.base.timings, 0.0),
+            "meta": _meta(self.base.timings, self.random_timing),
             "config": {**self.config.to_dict(), "node_counts": list(self.node_counts)},
             "results": {
                 "dictionary_size_before_prune": self.base.dictionary_size_before,
@@ -470,6 +464,7 @@ def node_sweep(cfg: ExperimentConfig, node_counts) -> SweepReport:
     base_cfg = replace(cfg, n_nodes=None, max_iter=max(cfg.max_iter, max(node_counts)))
     base = run_gsn_pipeline(replace(base_cfg, gsn_train=replace(cfg.gsn_train, epochs=0)))
     points = []
+    random_timing = 0.0
     for n in node_counts:
         if n > len(base.path.records):
             points.append(SweepPoint(n, available=False))
@@ -480,8 +475,9 @@ def node_sweep(cfg: ExperimentConfig, node_counts) -> SweepReport:
         trained_net, _ = train.train(init_net, base.train_set, base.val_set, cfg.gsn_train)
         gsn_trained = compute_errors(trained_net, base.test_set)
         rnd = run_random_baseline(cfg, n, base.train_set, base.val_set, base.test_set)
+        random_timing += rnd.timing
         points.append(SweepPoint(n, True, gsn_init, gsn_trained, rnd.best_errors))
-    return SweepReport(cfg, node_counts, points, base)
+    return SweepReport(cfg, node_counts, points, base, random_timing)
 
 
 # --- artifact writing ---------------------------------------------------

@@ -88,6 +88,10 @@ class Dataset:
             raise ValueError("row count of inputs must equal length of targets")
         if inputs.shape[0] < 1 or inputs.shape[1] < 1:
             raise ValueError("dataset needs at least one point and one input dimension")
+        for name, finite in (("input", np.isfinite(inputs).all(axis=1)),
+                             ("target", np.isfinite(targets))):
+            if not finite.all():
+                raise ValueError(f"{name} of point {int(np.argmin(finite))} is not finite")
         if bounds.shape[0] != inputs.shape[1]:
             raise ValueError("domain_bounds must give one interval per input coordinate")
         if np.any(bounds[:, 0] > bounds[:, 1]):

@@ -31,6 +31,10 @@ import numpy as np
 
 from .core import Dataset, Dictionary, GsnError
 
+SPAN_TOL = 1e-10          # atom counts as inside the span below this deficit
+RESIDUAL_REL_TOL = 1e-12  # stop once ||f_m|| <= this times ||f||
+ORTHO_REL_TOL = 1e-10     # inline |<f_m, q_j>| bound, this times ||f||
+
 
 class GreedyStop(GsnError):
     """Normal termination of the greedy iteration."""
@@ -50,35 +54,25 @@ class GreedyInvariantError(GsnError):
     """An internal greedy invariant failed; results are not trustworthy."""
 
 
-@dataclass(frozen=True)
-class GreedyTolerances:
-    span_tol: float = 1e-10          # atom counts as inside the span below this deficit
-    residual_rel_tol: float = 1e-12  # stop once ||f_m|| <= tol * ||f||
-    ortho_rel_tol: float = 1e-10     # inline |<f_m, q_j>| bound, relative to ||f||
-
-
 class GreedyState:
     """Mutable OGA state: selected atoms, orthonormal basis, caches.
 
-    Single-writer: oga_step mutates in place and returns the same object.
-    ``last_step`` holds the latest step's (c, nu, alpha): its Gram-Schmidt
-    coefficients, the norm that scaled its basis vector, and the target's
-    coordinate along that vector.
+    Sized once for at most min(max_iter, n_train, n_atoms) steps. Single-writer:
+    oga_step mutates in place and returns the same object. ``last_step`` holds
+    the latest step's (c, nu, alpha): its Gram-Schmidt coefficients, the norm
+    that scaled its basis vector, and the target's coordinate along that vector.
     """
 
-    def __init__(self, dictionary: Dictionary, target, max_iter_hint: int = 64,
-                 tol: GreedyTolerances = GreedyTolerances()):
+    def __init__(self, dictionary: Dictionary, target, max_iter: int):
         f = np.asarray(target, dtype=np.float64).ravel()
         if f.size != dictionary.n_train:
             raise ValueError("target length must match dictionary row count")
-        self.tol = tol
         self.target_norm = float(np.linalg.norm(f))
         self.residual = f.copy()
         self.residual_norm = self.target_norm
         self.selected: list[int] = []
         n = dictionary.n_train
-        m_cap = min(max(1, max_iter_hint), n, dictionary.n_atoms)
-        self._cap = m_cap
+        m_cap = min(max_iter, n, dictionary.n_atoms)
         self.ortho_basis = np.empty((n, m_cap))         # Q, columns q_1..q_m
         self.last_step: tuple[np.ndarray, float, float] | None = None
         self._basis_atom = np.empty((m_cap, dictionary.n_atoms))  # <q_j, g> rows
@@ -90,25 +84,12 @@ class GreedyState:
     def n_selected(self) -> int:
         return len(self.selected)
 
-    def _grow(self):
-        new_cap = min(2 * self._cap, self.ortho_basis.shape[0],
-                      self.atom_energy.size)
-        if new_cap <= self._cap:
-            return
-        m = self.n_selected
-        Q = np.empty((self.ortho_basis.shape[0], new_cap))
-        Q[:, :m] = self.ortho_basis[:, :m]
-        C = np.empty((new_cap, self.atom_energy.size))
-        C[:m] = self._basis_atom[:m]
-        self.ortho_basis, self._basis_atom = Q, C
-        self._cap = new_cap
-
     def check_invariants(self):
         """Inline guards: residual orthogonal to the basis, energies in range."""
         m = self.n_selected
         if m == 0:
             return
-        bound = self.tol.ortho_rel_tol * max(self.target_norm, 1e-300)
+        bound = ORTHO_REL_TOL * max(self.target_norm, 1e-300)
         overlap = np.abs(self.ortho_basis[:, :m].T @ self.residual).max()
         if overlap > bound:
             raise GreedyInvariantError(
@@ -117,32 +98,26 @@ class GreedyState:
             raise GreedyInvariantError("atom energy exceeded 1 beyond tolerance")
 
 
-def init_state(dictionary: Dictionary, target, max_iter_hint: int = 64,
-               tol: GreedyTolerances = GreedyTolerances()) -> GreedyState:
-    return GreedyState(dictionary, target, max_iter_hint, tol)
-
-
 def oga_step(state: GreedyState, dictionary: Dictionary) -> tuple[GreedyState, int]:
     """One greedy iteration: select, orthogonalize, update caches.
 
     Raises ResidualBelowTolerance or DictionaryExhausted as normal
-    termination signals.
+    termination signals, and ValueError for a step past the state's capacity.
     """
-    tol = state.tol
-    if state.residual_norm <= tol.residual_rel_tol * state.target_norm:
+    if state.residual_norm <= RESIDUAL_REL_TOL * state.target_norm:
         raise ResidualBelowTolerance(
             f"residual {state.residual_norm:.3e} within tolerance of zero")
     deficit = 1.0 - state.atom_energy
-    candidates = state._eligible & (deficit > tol.span_tol)
+    candidates = state._eligible & (deficit > SPAN_TOL)
     if not np.any(candidates):
         raise DictionaryExhausted("all remaining atoms lie inside the current span")
+    m = state.n_selected
+    if m == state.ortho_basis.shape[1]:
+        raise ValueError(f"greedy state is sized for {m} steps")
 
-    scores = np.where(candidates, state.atom_score_cache**2 / np.maximum(deficit, tol.span_tol), -np.inf)
+    scores = np.where(candidates, state.atom_score_cache**2 / np.maximum(deficit, SPAN_TOL), -np.inf)
     j = int(np.argmax(scores))  # first (lowest-index) maximum on ties
 
-    m = state.n_selected
-    if m == state._cap:
-        state._grow()
     Q = state.ortho_basis
     g = dictionary.features[:, j]
 
@@ -155,7 +130,7 @@ def oga_step(state: GreedyState, dictionary: Dictionary) -> tuple[GreedyState, i
         v -= Q[:, :m] @ corr
         coeff += corr
     vnorm = float(np.linalg.norm(v))
-    if vnorm <= tol.span_tol:
+    if vnorm <= SPAN_TOL:
         # numerically inside the span despite the energy deficit; retire it
         state._eligible[j] = False
         state.atom_energy[j] = 1.0
@@ -216,7 +191,7 @@ class GreedyPath:
 
 
 def oga_run(dictionary: Dictionary, dataset_train: Dataset, dataset_val: Dataset,
-            max_iter: int, tol: GreedyTolerances = GreedyTolerances()) -> GreedyPath:
+            max_iter: int) -> GreedyPath:
     """Greedy selection with per-iteration validation scoring.
 
     After each step the least-squares fit over the selected atoms is scored
@@ -227,11 +202,8 @@ def oga_run(dictionary: Dictionary, dataset_train: Dataset, dataset_val: Dataset
     if dictionary.n_atoms == 0:
         raise ValueError("dictionary is empty")
     f_tr = dataset_train.targets
-    state = init_state(dictionary, f_tr, max_iter_hint=max_iter or 1, tol=tol)
-
-    # validation image of the basis, VQ; at most one column per train point or atom
-    val_basis = np.empty((dataset_val.n_points,
-                          min(max_iter, dictionary.n_train, dictionary.n_atoms)))
+    state = GreedyState(dictionary, f_tr, max_iter)
+    val_basis = np.empty((dataset_val.n_points, state.ortho_basis.shape[1]))  # validation image VQ
     val_pred = np.zeros(dataset_val.n_points)
     records = []
     termination = "max_iter"

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +29,6 @@ STREAMS = {
     "init": 4,
     "shuffle": 5,
 }
-
-SCHEMES = ("circle-uniform", "circle-grid", "golden-spiral", "gaussian-normalized")
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -49,51 +46,16 @@ def substream_seed(seed: int, purpose: str, index: int = 0) -> int:
     return int(words[0]) | (int(words[1]) << 32)
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """How to draw M candidate directions for a d-dimensional problem."""
-
-    dimension: int
-    count: int
-    seed: int
-    scheme: str
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("direction count must be >= 1")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme.startswith("circle") and self.dimension != 1:
-            raise ValueError("circle schemes require dimension 1")
-        if self.scheme == "golden-spiral" and self.dimension != 2:
-            raise ValueError("golden-spiral requires dimension 2")
-
-
-def default_scheme(dimension: int) -> str:
-    if dimension == 1:
-        return "circle-uniform"
-    if dimension == 2:
-        return "golden-spiral"
-    return "gaussian-normalized"
-
-
 def default_direction_count(dimension: int) -> int:
     return 10_000 * dimension
 
 
-def sample_circle(count: int, seed: int = 0, grid: bool = False) -> np.ndarray:
-    """Directions [cos phi, sin phi] on the unit circle (d=1), i.i.d. uniform or equispaced.
-
-    Uniform draws angles from [-pi, pi) on the 'directions' sub-stream;
-    the grid places phi_j = -pi + 2*pi*j/count.
-    """
+def sample_circle(count: int, seed: int = 0) -> np.ndarray:
+    """Directions [cos phi, sin phi] on the unit circle (d=1), phi i.i.d.
+    uniform on [-pi, pi) from the 'directions' sub-stream."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if grid:
-        phi = -math.pi + 2.0 * math.pi * np.arange(count) / count
-    else:
-        rng = substream(seed, "directions")
-        phi = rng.uniform(-math.pi, math.pi, size=count)
+    phi = substream(seed, "directions").uniform(-math.pi, math.pi, size=count)
     return check_directions(np.column_stack([np.cos(phi), np.sin(phi)]), 1)
 
 
@@ -129,14 +91,14 @@ def sample_gaussian_sphere(dimension: int, count: int, seed: int = 0) -> np.ndar
     return check_directions(vecs, dimension)
 
 
-def sample_directions(config: SamplerConfig) -> np.ndarray:
-    if config.scheme == "circle-uniform":
-        return sample_circle(config.count, config.seed, grid=False)
-    if config.scheme == "circle-grid":
-        return sample_circle(config.count, config.seed, grid=True)
-    if config.scheme == "golden-spiral":
-        return golden_spiral(config.count)
-    return sample_gaussian_sphere(config.dimension, config.count, config.seed)
+def sample_directions(dimension: int, count: int, seed: int) -> np.ndarray:
+    """``count`` directions by the scheme of the dimension: uniform circle
+    angles for d=1, the golden spiral for d=2, normalized Gaussians for d>=3."""
+    if dimension == 1:
+        return sample_circle(count, seed)
+    if dimension == 2:
+        return golden_spiral(count)
+    return sample_gaussian_sphere(dimension, count, seed)
 
 
 def _grid_inputs(bounds: np.ndarray, n_points: int) -> np.ndarray:

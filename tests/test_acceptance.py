@@ -14,7 +14,7 @@ from dataclasses import replace
 from gsn import bench, greedy, sampling, solve
 from gsn.bench import compute_errors, default_config, strip_meta
 from gsn.core import ShallowNetwork
-from gsn.greedy import GreedyStop, init_state, oga_step
+from gsn.greedy import GreedyState, GreedyStop, oga_step
 from gsn.ridgelet import collapsed_field, prune_dictionary, tau
 from gsn.train import NetParams, TrainConfig, gradients, params_from_network
 from scipy.integrate import quad
@@ -41,7 +41,7 @@ def test_criterion_1_oga_oracle_equivalence():
         feats = unit_rows(rng, m, n).T
         f = rng.standard_normal(n)
         dic = synthetic_dictionary(feats)
-        state = init_state(dic, f, max_iter_hint=n)
+        state = GreedyState(dic, f, n)
         selected = []
         while True:
             try:
@@ -109,7 +109,7 @@ def test_criterion_2_inline_invariants(ex1_pruned):
     dictionary = prune_dictionary(dictionary, fld, cfg.prune_threshold)
     f = train_set.targets
     fnorm = np.linalg.norm(f)
-    state = init_state(dictionary, f, max_iter_hint=cfg.max_iter)
+    state = GreedyState(dictionary, f, cfg.max_iter)
     prev = state.residual_norm
     worst_overlap = 0.0
     monotone = True
@@ -138,7 +138,7 @@ def test_criterion_3_convex_hull_rate():
     lam /= lam.sum()
     f = feats @ lam
     dic = synthetic_dictionary(feats)
-    state = init_state(dic, f, max_iter_hint=64)
+    state = GreedyState(dic, f, 64)
     norms = []
     for _ in range(64):
         try:

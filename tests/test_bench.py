@@ -166,6 +166,20 @@ def test_node_sweep_lengths_and_singleton():
     assert not over.points[1].available
 
 
+def test_sweep_manifest_sums_baseline_time(monkeypatch):
+    timings = []
+
+    def recorded(*args):
+        branch = run_random_baseline(*args)
+        timings.append(branch.timing)
+        return branch
+
+    monkeypatch.setattr(bench, "run_random_baseline", recorded)
+    doc = node_sweep(tiny_config(max_iter=8), [2, 4, 500]).manifest()
+    assert len(timings) == 2
+    assert doc["meta"]["timings_sec"]["random.total"] == round(sum(timings), 6) > 0
+
+
 def test_manifest_determinism(tmp_path):
     cfg = tiny_config()
     r1, r2 = run_experiment(cfg), run_experiment(cfg)

@@ -619,3 +619,32 @@ def test_train_rejects_bad_options(tmp_path, capsys, flag, value):
     assert code == 2
     assert f"invalid {flag}: " in capsys.readouterr().err
     assert not (out / "trained.json").exists()
+
+
+@pytest.mark.parametrize("column", ["input", "target"])
+@pytest.mark.parametrize("stage", ["dict", "ridgelet", "greedy", "fit", "train"])
+def test_non_finite_training_set_exits_2(tmp_path, capsys, stage, column):
+    out = staged_dictionary(tmp_path)
+    assert run_cli("greedy", "--train", str(out / "train.csv"), "--val", str(out / "val.csv"),
+                   "--dict", str(out / "dictionary.csv"), "--out", str(out / "path.csv"),
+                   "--nodes-out", str(out / "nodes.json")) == 0
+    assert run_cli("fit", "--train", str(out / "train.csv"), "--nodes", str(out / "nodes.json"),
+                   "--out", str(out / "network.json")) == 0
+    lines = (out / "train.csv").read_text().splitlines()
+    x, f = lines[4].split(",")
+    lines[4] = f"nan,{f}" if column == "input" else f"{x},nan"
+    bad = tmp_path / "bad_train.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    argv = {
+        "dict": ["dict", "--directions", str(out / "directions.csv")],
+        "ridgelet": ["ridgelet", "--directions", str(out / "directions.csv"), "--threads", "1"],
+        "greedy": ["greedy", "--val", str(out / "val.csv"), "--dict", str(out / "dictionary.csv"),
+                   "--nodes-out", str(tmp_path / "nodes.json")],
+        "fit": ["fit", "--nodes", str(out / "nodes.json")],
+        "train": ["train", "--network", str(out / "network.json"), "--epochs", "1"],
+    }[stage]
+    result = tmp_path / "result"
+    assert run_cli(*argv, "--train", str(bad), "--out", str(result)) == 2
+    err = capsys.readouterr().err.splitlines()[0]
+    assert str(bad) in err and f"{column} of point 2 is not finite" in err
+    assert not result.exists()

@@ -6,9 +6,9 @@ from gsn.core import Dataset, ShallowNetwork, batch_eval
 from gsn.greedy import (
     DictionaryExhausted,
     GreedyPath,
+    GreedyState,
     PathRecord,
     ResidualBelowTolerance,
-    init_state,
     oga_run,
     oga_step,
     select_model,
@@ -36,7 +36,7 @@ def test_canonical_basis_selection():
     feats = np.eye(3)
     dic = synthetic_dictionary(feats)
     f = np.array([3.0, 2.0, 1.0])
-    state = init_state(dic, f)
+    state = GreedyState(dic, f, 3)
     picks, res = [], []
     for _ in range(3):
         state, j = oga_step(state, dic)
@@ -51,7 +51,7 @@ def test_canonical_basis_selection():
 def test_step_errors_when_target_in_span():
     dic = synthetic_dictionary(np.eye(2))
     f = np.array([1.0, 0.0])
-    state = init_state(dic, f)
+    state = GreedyState(dic, f, 2)
     state, j = oga_step(state, dic)
     assert j == 0
     with pytest.raises(ResidualBelowTolerance):
@@ -63,7 +63,7 @@ def test_exhaustion_error(rng):
     g = unit_rows(rng, 1, 4).ravel()
     dic = synthetic_dictionary(np.column_stack([g, g]))
     f = g + 0.5 * np.array([1.0, -1.0, 0.5, 0.25])
-    state = init_state(dic, f)
+    state = GreedyState(dic, f, 2)
     state, _ = oga_step(state, dic)
     with pytest.raises(DictionaryExhausted):
         oga_step(state, dic)
@@ -76,7 +76,7 @@ def test_selection_matches_brute_force(rng):
         feats = unit_rows(rng, m, n).T
         f = rng.standard_normal(n)
         dic = synthetic_dictionary(feats)
-        state = init_state(dic, f, max_iter_hint=n)
+        state = GreedyState(dic, f, n)
         selected = []
         while True:
             oracle_j, oracle_res = brute_force_best(feats, selected, f)
@@ -98,7 +98,7 @@ def test_orthogonality_and_monotonicity(rng):
     feats = unit_rows(rng, 60, 24).T
     f = rng.standard_normal(24)
     dic = synthetic_dictionary(feats)
-    state = init_state(dic, f, max_iter_hint=24)
+    state = GreedyState(dic, f, 24)
     prev = state.residual_norm
     while True:
         try:
@@ -121,7 +121,7 @@ def test_convex_hull_rate(rng):
     lam /= lam.sum()
     f = feats @ lam
     dic = synthetic_dictionary(feats)
-    state = init_state(dic, f, max_iter_hint=64)
+    state = GreedyState(dic, f, 64)
     norms = []
     for _ in range(64):
         try:
@@ -209,16 +209,15 @@ def test_select_model_rules():
     assert select_model(path_with_vals([3.0, 2.0, 1.0, 4.0, 1.0])) == 3
 
 
-def test_state_grows_past_hint(rng):
+def test_step_past_max_iter_raises(rng):
     feats = unit_rows(rng, 40, 20).T
     dic = synthetic_dictionary(feats)
-    f = rng.standard_normal(20)
-    state = init_state(dic, f, max_iter_hint=2)
+    state = GreedyState(dic, rng.standard_normal(20), 10)
     for _ in range(10):
         state, _ = oga_step(state, dic)
+    with pytest.raises(ValueError, match="sized for 10 steps"):
+        oga_step(state, dic)
     assert state.n_selected == 10
-    Q = state.ortho_basis[:, :10]
-    assert np.abs(Q.T @ Q - np.eye(10)).max() <= 1e-10
 
 
 def test_path_csv_export(tmp_path, rng):

@@ -7,7 +7,6 @@ import pytest
 from gsn import bench, sampling
 from gsn.core import Dataset, preactivations, relu
 from gsn.sampling import (
-    SamplerConfig,
     build_dictionary,
     generate_dataset,
     golden_spiral,
@@ -29,11 +28,11 @@ def norms(directions):
     return np.array([math.hypot(*row) for row in directions])
 
 
-def test_sample_circle_grid_m4():
-    dirs = sample_circle(4, grid=True)
+def test_sample_circle_m4_angles():
+    dirs = sample_circle(4, seed=3)
     assert dirs.shape == (4, 2)
-    angles = sorted(math.atan2(b, a) for a, b in dirs)
-    assert angles == pytest.approx([-math.pi, -math.pi / 2, 0.0, math.pi / 2])
+    phi = substream(3, "directions").uniform(-math.pi, math.pi, size=4)
+    assert np.arctan2(dirs[:, 1], dirs[:, 0]) == pytest.approx(phi, abs=1e-15)
 
 
 def test_sample_circle_unit_norm():
@@ -77,15 +76,12 @@ def test_gaussian_sphere_seed_determinism():
     assert np.array_equal(a, b)
 
 
-def test_sampler_config_validation():
+def test_sample_directions_follows_dimension():
+    assert np.array_equal(sample_directions(1, 50, 4), sample_circle(50, 4))
+    assert np.array_equal(sample_directions(2, 50, 4), golden_spiral(50))
+    assert np.array_equal(sample_directions(3, 50, 4), sample_gaussian_sphere(3, 50, 4))
     with pytest.raises(ValueError):
-        SamplerConfig(2, 10, 0, "circle-uniform")
-    with pytest.raises(ValueError):
-        SamplerConfig(1, 10, 0, "golden-spiral")
-    with pytest.raises(ValueError):
-        SamplerConfig(1, 0, 0, "circle-grid")
-    cfg = SamplerConfig(3, 10, 0, "gaussian-normalized")
-    assert len(sample_directions(cfg)) == 10
+        sample_directions(1, 0, 0)
 
 
 def test_substreams_are_independent():
@@ -127,7 +123,7 @@ def test_generate_dataset_determinism():
 
 def test_build_dictionary_constant_atom():
     ds = Dataset(np.array([[-0.5], [0.0], [0.5]]), np.zeros(3), [[-1, 1]])
-    dirs = sample_circle(4, grid=True)  # includes (0, 1) and (0, -1)
+    dirs = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     dic = build_dictionary(ds, dirs)
     # (a, b) = (0, 1) gives relu(1) = 1 at every point -> constant column
     up = [j for j, dr in enumerate(dic.directions) if dr[-1] > 0.9]
@@ -141,7 +137,7 @@ def test_build_dictionary_constant_atom():
 
 def test_build_dictionary_hand_case():
     ds = Dataset(np.array([[-1.0], [0.0], [1.0]]), np.zeros(3), [[-1, 1]])
-    dirs = sample_circle(4, grid=True)  # contains (1, 0)
+    dirs = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     dic = build_dictionary(ds, dirs)
     j = [k for k, dr in enumerate(dic.directions)
          if abs(dr[0] - 1.0) < 1e-12][0]
