@@ -45,11 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Dictionary, check_directions, preactivations, read_csv_table
-
-# (directions x points) per chunk: temporaries stay cache-sized and threads get
-# work to split (ex3 field, 2 cores: 0.14 s unchunked, 0.07 s chunked on 2 threads)
-_CHUNK_BUDGET = 65_536
+from .core import BLOCK_BUDGET, Dataset, Dictionary, check_directions, preactivations, read_csv_table
 
 
 def tau(z, dimension: int = 1):
@@ -191,7 +187,7 @@ def collapsed_field(dataset: Dataset, directions, quad: RadialQuadrature | None 
     f = dataset.targets * (dataset.volume / dataset.n_points)
     values = np.empty(len(W))
 
-    chunk = max(1, _CHUNK_BUDGET // max(dataset.n_points, 1))
+    chunk = max(1, BLOCK_BUDGET // dataset.n_points)
 
     def run(lo: int, hi: int) -> None:
         S = preactivations(dataset.inputs, A[lo:hi], b[lo:hi])     # (n_train, m)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import Dataset, Dictionary, check_directions, preactivations, read_csv_table
+from .core import BLOCK_BUDGET, Dataset, Dictionary, check_directions, preactivations, read_csv_table
 
 # Fixed purpose -> sub-stream index table. Changing it changes every seeded
 # output, so it is part of the on-disk format.
@@ -135,11 +135,6 @@ def generate_dataset(target, n_points: int, seed: int, layout: str = "random-uni
     return Dataset(inputs, targets, bounds)
 
 
-# Directions per block of the dictionary build. The block's preactivations
-# are the only temporaries; they stay small next to the (M, n_train) buffer.
-_BLOCK = 128
-
-
 def _atom_rows(inputs: np.ndarray, A: np.ndarray, b: np.ndarray, drop_tol: float):
     """Normalized ReLU atoms, each written once into one atom-major buffer.
 
@@ -148,22 +143,36 @@ def _atom_rows(inputs: np.ndarray, A: np.ndarray, b: np.ndarray, drop_tol: float
     norm is <= drop_tol are skipped; the rest keep their order. The rows of
     skipped directions at the end of the buffer are never written, so they
     take address space but no resident memory.
+
+    Blocks are built in two buffers allocated once, which share one budget
+    of BLOCK_BUDGET values: each stays smaller than the ridgelet field's
+    chunk temporaries (the full budget each raised ex3's peak RSS by 1 MB,
+    through glibc's adaptive mmap threshold). The norms are summed over the
+    whole zero-initialized block buffer, at least two columns wide: numpy
+    sums a lone column pairwise but the columns of a wider block row by row,
+    so no norm depends on where the blocks end.
     """
-    m = A.shape[0]
-    rows = np.empty((m, inputs.shape[0]))
+    n, m = inputs.shape[0], A.shape[0]
+    width = max(2, BLOCK_BUDGET // (2 * n))
+    rows = np.empty((m, n))
     norms = np.empty(m)
     kept = np.empty(m, dtype=np.intp)
+    z = np.zeros((n, width))
+    squares = np.empty_like(z)
+    z_norms = np.empty(width)
     k = 0
-    for lo in range(0, m, _BLOCK):
-        z = preactivations(inputs, A[lo:lo + _BLOCK], b[lo:lo + _BLOCK])
-        np.maximum(z, 0.0, out=z)
-        z_norms = np.linalg.norm(z, axis=0)
-        live = np.flatnonzero(z_norms > drop_tol)
-        n = live.size
-        np.divide(z[:, live].T, z_norms[live, None], out=rows[k:k + n])
-        norms[k:k + n] = z_norms[live]
-        kept[k:k + n] = lo + live
-        k += n
+    for lo in range(0, m, width):
+        block = preactivations(inputs, A[lo:lo + width], b[lo:lo + width], z[:, :min(width, m - lo)])
+        np.maximum(block, 0.0, out=block)
+        np.multiply(z, z, out=squares)
+        np.sqrt(np.add.reduce(squares, axis=0, out=z_norms), out=z_norms)
+        live = np.flatnonzero(z_norms[:block.shape[1]] > drop_tol)
+        n_live = live.size
+        live_block = block if n_live == block.shape[1] else block[:, live]
+        np.divide(live_block.T, z_norms[live, None], out=rows[k:k + n_live])
+        norms[k:k + n_live] = z_norms[live]
+        kept[k:k + n_live] = lo + live
+        k += n_live
     return rows[:k], norms[:k], kept[:k]
 
 

@@ -6,9 +6,10 @@ The mean-squared-error loss keeps the learning-rate scale independent of
 batch size, and the learning rate decays exponentially per epoch.
 
 `gradients` is the one minibatch gradient kernel: `train_params` steps it
-with the one Adam update, and the finite-difference acceptance check tests
-it. Random initializations draw every raw parameter from a normal of
-standard deviation INIT_STDDEV, truncated at INIT_TRUNCATION of them.
+with the one Adam update, both writing into arrays allocated once per call,
+and the finite-difference acceptance check tests it. Random initializations
+draw every raw parameter from a normal of standard deviation INIT_STDDEV,
+truncated at INIT_TRUNCATION of them.
 """
 
 from __future__ import annotations
@@ -75,23 +76,37 @@ def params_to_network(params: NetParams, input_dim: int) -> ShallowNetwork:
 
 
 def gradients(A: np.ndarray, b: np.ndarray, c: np.ndarray, X: np.ndarray, y: np.ndarray,
-              gA: np.ndarray, gb: np.ndarray, gc: np.ndarray) -> None:
+              gA: np.ndarray, gb: np.ndarray, gc: np.ndarray, work=None) -> None:
     """Gradients of the minibatch MSE mean((relu(X @ A.T + b) @ c - y)**2).
 
     Writes them into gA, gb and gc. The ReLU subgradient at zero is taken as
     0, so a node whose pre-activations are all non-positive on the batch
     receives zero gradients.
+
+    z, the gate, the activations and P go into the leading rows of ``work``
+    (from ``work_buffers``), or into fresh arrays without it. The activations
+    are np.maximum(z, 0.0), bit for bit np.where(z > 0, z, 0.0) on every
+    non-NaN z (both map -0.0 to +0.0) at a fraction of its cost.
     """
-    z = X @ A.T + b
-    gate = z > 0.0
-    act = np.where(gate, z, 0.0)
+    stack, gate = work or work_buffers(y.size, A.shape[0])
+    z, act, P = stack[:, :y.size]
+    gate = gate[:y.size]
+    np.matmul(X, A.T, out=z)
+    z += b
+    np.greater(z, 0.0, out=gate)
+    np.maximum(z, 0.0, out=act)
     coef = (2.0 / y.size) * (act @ c - y)
     np.matmul(act.T, coef, out=gc)
-    P = gate * coef[:, None]                 # (batch, nodes)
+    np.multiply(gate, coef[:, None], out=P)  # (batch, nodes)
     np.matmul(P.T, X, out=gA)
     gA *= c[:, None]
-    gb[:] = P.sum(axis=0)
+    P.sum(axis=0, out=gb)
     gb *= c
+
+
+def work_buffers(batch: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``gradients``' (z, act, P) stack and gate for batches of <= ``batch`` rows."""
+    return np.empty((3, batch, n_nodes)), np.empty((batch, n_nodes), dtype=bool)
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -100,7 +115,12 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 
 def train_params(params: NetParams, train_set: Dataset, cfg: TrainConfig) -> tuple[NetParams, np.ndarray]:
-    """Mini-batch Adam loop on raw parameters; returns per-epoch train loss."""
+    """Mini-batch Adam loop on raw parameters; returns per-epoch train loss.
+
+    Working arrays are allocated once per call: the kernel's work buffers,
+    the per-epoch shuffled copy of the data whose slices are the minibatches,
+    and the Adam and loss arrays (at full batch, the loss reuses z's buffer).
+    """
     n_nodes, d = params.A.shape
     n = train_set.n_points
     X, y = train_set.inputs, train_set.targets
@@ -117,26 +137,40 @@ def train_params(params: NetParams, train_set: Dataset, cfg: TrainConfig) -> tup
     gc = grad[n_nodes * (d + 1):]
     mom = np.zeros_like(theta)
     vel = np.zeros_like(theta)
+    step, scratch = np.empty_like(theta), np.empty_like(theta)
+    work = work_buffers(batch, n_nodes)
+    Xs, ys = np.empty(X.shape), np.empty(n)  # C order: contiguous minibatches
+    z_full = work[0][0] if batch == n else np.empty((n, n_nodes))
+    err = np.empty(n)
 
     curve = np.empty(cfg.epochs)
     t = 0
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         order = rng.permutation(n)
+        np.take(X, order, axis=0, out=Xs, mode="clip")  # "raise" would buffer
+        np.take(y, order, out=ys, mode="clip")
         for lo in range(0, n, batch):
-            idx = order[lo: lo + batch]
-            gradients(A, b, c, X[idx], y[idx], gA, gb, gc)
-            # bias-corrected Adam step over the flat parameter vector
+            gradients(A, b, c, Xs[lo: lo + batch], ys[lo: lo + batch], gA, gb, gc, work)
+            # bias-corrected Adam step over the flat parameter vector:
+            # theta -= lr * mhat / (sqrt(vhat) + eps), one operation at a time
             t += 1
             mom *= ADAM_BETA1
-            mom += (1.0 - ADAM_BETA1) * grad
+            mom += np.multiply(1.0 - ADAM_BETA1, grad, out=scratch)
             vel *= ADAM_BETA2
-            vel += (1.0 - ADAM_BETA2) * (grad * grad)
-            mhat = mom / (1.0 - ADAM_BETA1**t)
-            vhat = vel / (1.0 - ADAM_BETA2**t)
-            theta -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        full_err = np.maximum(X @ A.T + b, 0.0) @ c - y
-        curve[epoch] = np.dot(full_err, full_err) / n
+            vel += np.multiply(1.0 - ADAM_BETA2, np.multiply(grad, grad, out=scratch), out=scratch)
+            np.divide(mom, 1.0 - ADAM_BETA1**t, out=step)
+            step *= lr
+            np.sqrt(np.divide(vel, 1.0 - ADAM_BETA2**t, out=scratch), out=scratch)
+            scratch += ADAM_EPS
+            step /= scratch
+            theta -= step
+        np.matmul(X, A.T, out=z_full)
+        z_full += b
+        np.maximum(z_full, 0.0, out=z_full)
+        np.matmul(z_full, c, out=err)
+        err -= y
+        curve[epoch] = np.dot(err, err) / n
     return NetParams(A.copy(), b.copy(), c.copy()), curve
 
 

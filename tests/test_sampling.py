@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gsn import bench, sampling
-from gsn.core import Dataset, preactivations, relu
+from gsn.core import BLOCK_BUDGET, Dataset, preactivations, relu
 from gsn.sampling import (
     build_dictionary,
     generate_dataset,
@@ -181,16 +181,28 @@ def test_load_directions_csv_rejects_bad_rows(tmp_path, row):
         load_directions_csv(path, 1)
 
 
+def build_width(n_train):
+    """Directions per block of the dictionary build."""
+    return max(2, BLOCK_BUDGET // (2 * n_train))
+
+
 def blocked_case():
     """2-d data and a direction list that is not a whole number of build
     blocks, with dead directions in the first, a middle and the last block."""
     ds = generate_dataset(bench.get_target("ex3"), 40, seed=6)
-    m = 2 * sampling._BLOCK + 37
+    width = build_width(ds.n_points)
+    m = 2 * width + 37
     dirs = sample_gaussian_sphere(2, m, seed=8)
-    dead = (5, sampling._BLOCK + 60, m - 1)
+    dead = (5, width + 60, m - 1)
     for j in dead:
         dirs[j] = [0.0, 0.0, -1.0]
     return ds, dirs, dead
+
+
+def lone_column_case(n_train, m):
+    """Directions whose last build block holds a single column."""
+    ds = generate_dataset(bench.get_target("ex3"), n_train, seed=6)
+    return ds, sample_gaussian_sphere(2, m, seed=8), ()
 
 
 def bits(a):
@@ -198,17 +210,28 @@ def bits(a):
 
 
 def test_build_dictionary_matches_unblocked_reference():
-    ds, dirs, dead = blocked_case()
-    dic = build_dictionary(ds, dirs)
-    feats = relu(preactivations(ds.inputs, dirs[:, :-1], dirs[:, -1]))
-    norms = np.linalg.norm(feats, axis=0)
-    kept = np.flatnonzero(norms > 1e-12)
-    assert not set(dead) & set(kept.tolist())
-    assert np.array_equal(bits(dic.features), bits(feats[:, kept] / norms[kept]))
-    assert np.array_equal(bits(dic.raw_norms), bits(norms[kept]))
-    assert np.array_equal(dic.source_indices, kept)
-    assert np.array_equal(dic.directions, dirs[kept])
-    assert dic.features.flags.f_contiguous
+    cases = {
+        "blocked": blocked_case(),
+        "k=1-at-256": lone_column_case(256, build_width(256) + 1),
+        "k=2-at-256": lone_column_case(256, 2 * build_width(256) + 1),
+        "one-at-40": lone_column_case(40, 1),
+        "one-at-1024": lone_column_case(1024, 1),
+    }
+    for name, (ds, dirs, dead) in cases.items():
+        dic = build_dictionary(ds, dirs)
+        feats = relu(preactivations(ds.inputs, dirs[:, :-1], dirs[:, -1]))
+        # every norm summed row by row, whatever the block layout
+        squares = np.zeros(len(dirs))
+        for row in feats:
+            squares += row * row
+        norms = np.sqrt(squares)
+        kept = np.flatnonzero(norms > 1e-12)
+        assert not set(dead) & set(kept.tolist()), name
+        assert np.array_equal(bits(dic.features), bits(feats[:, kept] / norms[kept])), name
+        assert np.array_equal(bits(dic.raw_norms), bits(norms[kept])), name
+        assert np.array_equal(dic.source_indices, kept), name
+        assert np.array_equal(dic.directions, dirs[kept]), name
+        assert dic.features.flags.f_contiguous, name
 
 
 def test_dictionary_csv_round_trip_same_bits(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gsn.core import Dataset, ShallowNetwork, batch_eval
+from gsn.sampling import substream
 from gsn.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -20,6 +21,7 @@ from gsn.train import (
     train,
     train_params,
     truncated_normal_params,
+    work_buffers,
 )
 
 from conftest import unit_rows
@@ -139,6 +141,79 @@ def test_train_inline_adam_matches_adam_update(rng):
     got = np.concatenate([trained.A.ravel(), trained.b, trained.c])
     # the shuffled batch sums its rows in another order than the kernel call above
     np.testing.assert_allclose(got, theta1, rtol=1e-13, atol=1e-15)
+
+
+def reference_train_params(params, train_set, cfg):
+    """The training loop as it read before it wrote into work buffers: a
+    fresh array per operation, the minibatch gathered with X[idx] and the
+    activations taken with np.where. train_params must match it bit for bit."""
+    n_nodes, d = params.A.shape
+    n = train_set.n_points
+    X, y = train_set.inputs, train_set.targets
+    batch = min(cfg.batch_size, n)
+    rng = substream(cfg.seed, "shuffle")
+    theta = np.concatenate([params.A.ravel(), params.b, params.c])
+    A = theta[: n_nodes * d].reshape(n_nodes, d)
+    b = theta[n_nodes * d: n_nodes * (d + 1)]
+    c = theta[n_nodes * (d + 1):]
+    mom = np.zeros_like(theta)
+    vel = np.zeros_like(theta)
+    curve = np.empty(cfg.epochs)
+    t = 0
+    for epoch in range(cfg.epochs):
+        lr = lr_at(epoch, cfg)
+        order = rng.permutation(n)
+        for lo in range(0, n, batch):
+            idx = order[lo: lo + batch]
+            Xb, yb = X[idx], y[idx]
+            z = Xb @ A.T + b
+            gate = z > 0.0
+            act = np.where(gate, z, 0.0)
+            coef = (2.0 / yb.size) * (act @ c - yb)
+            gc = act.T @ coef
+            P = gate * coef[:, None]
+            gA = (P.T @ Xb) * c[:, None]
+            gb = P.sum(axis=0) * c
+            grad = np.concatenate([gA.ravel(), gb, gc])
+            t += 1
+            mom *= ADAM_BETA1
+            mom += (1.0 - ADAM_BETA1) * grad
+            vel *= ADAM_BETA2
+            vel += (1.0 - ADAM_BETA2) * (grad * grad)
+            mhat = mom / (1.0 - ADAM_BETA1**t)
+            vhat = vel / (1.0 - ADAM_BETA2**t)
+            theta -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        full_err = np.maximum(X @ A.T + b, 0.0) @ c - y
+        curve[epoch] = np.dot(full_err, full_err) / n
+    return NetParams(A.copy(), b.copy(), c.copy()), curve
+
+
+@pytest.mark.parametrize("n, dim, n_nodes, batch_size", [
+    (40, 2, 6, 3), (40, 2, 6, 11), (40, 2, 6, 40), (300, 4, 40, 11), (300, 4, 40, 1000),
+])
+def test_train_params_matches_reference_bits(rng, n, dim, n_nodes, batch_size):
+    # batch 11 leaves a partial last batch (40 = 3*11 + 7, 300 = 27*11 + 3),
+    # batch 3 one of a single row, and batch_size >= n is full batch
+    params = params_from_network(random_network(rng, n_nodes, dim))
+    params.b[0] = -2.0  # one node dead on the whole box
+    ds = random_batch(rng, n, dim)
+    cfg = TrainConfig(epochs=25, batch_size=batch_size, initial_lr=1e-2, seed=3)
+    got, got_curve = train_params(params, ds, cfg)
+    want, want_curve = reference_train_params(params, ds, cfg)
+    for g, w in ((got.A, want.A), (got.b, want.b), (got.c, want.c), (got_curve, want_curve)):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def test_gradients_reused_buffers_match_fresh_call(rng):
+    p = params_from_network(random_network(rng, 7, 3))
+    work = work_buffers(11, 7)
+    for rows in (11, 4, 11, 1, 9):
+        batch = random_batch(rng, rows, 3)
+        fresh = kernel_gradients(p, batch.inputs, batch.targets)
+        reused = NetParams(np.empty_like(p.A), np.empty_like(p.b), np.empty_like(p.c))
+        gradients(p.A, p.b, p.c, batch.inputs, batch.targets, reused.A, reused.b, reused.c, work)
+        for g, w in ((reused.A, fresh.A), (reused.b, fresh.b), (reused.c, fresh.c)):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 def test_train_determinism(rng):
