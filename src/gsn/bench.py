@@ -482,9 +482,11 @@ def node_sweep(cfg: ExperimentConfig, node_counts) -> SweepReport:
 
 # --- artifact writing ---------------------------------------------------
 
-def write_manifest(doc: dict, path) -> None:
+def write_json(doc: dict, path) -> None:
+    """Strict JSON: a non-finite float (a NaN loss after 0 epochs, say), read back as None, is null."""
+    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -509,7 +511,7 @@ def write_run_artifacts(report: ExperimentReport, out_root) -> str:
     save_network(gsn_branch.init_net, os.path.join(run_dir, "gsn_init_network.json"))
     save_network(gsn_branch.trained_net, os.path.join(run_dir, "gsn_trained_network.json"))
     save_network(report.random.best_net, os.path.join(run_dir, "random_best_network.json"))
-    write_manifest(report.manifest(), os.path.join(run_dir, "manifest.json"))
+    write_json(report.manifest(), os.path.join(run_dir, "manifest.json"))
     return run_dir
 
 
@@ -527,7 +529,7 @@ def write_sweep_artifacts(report: SweepReport, out_root) -> str:
                                  repr(p.gsn_trained.rel_l2), repr(p.random_trained.rel_l2)])
             else:
                 writer.writerow([p.n_nodes, "", "", ""])
-    write_manifest(report.manifest(), os.path.join(run_dir, "manifest.json"))
+    write_json(report.manifest(), os.path.join(run_dir, "manifest.json"))
     return run_dir
 
 

@@ -166,7 +166,7 @@ def cmd_sample(args) -> int:
     sampling.save_dataset_csv(val_set, os.path.join(args.out, "val.csv"))
     sampling.save_dataset_csv(test_set, os.path.join(args.out, "test.csv"))
     sampling.save_directions_csv(directions, os.path.join(args.out, "directions.csv"))
-    bench.write_manifest(doc, os.path.join(args.out, "config.json"))
+    bench.write_json(doc, os.path.join(args.out, "config.json"))
     print(f"wrote config.json, datasets and {len(directions)} directions to {args.out}")
     return EXIT_OK
 
@@ -236,9 +236,7 @@ def cmd_greedy(args) -> int:
         "atom_indices": chosen,
         "source_indices": dictionary.source_indices[chosen].tolist(),
     }
-    with open(args.nodes_out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    bench.write_json(doc, args.nodes_out)
     print(f"selected {n} nodes -> {args.nodes_out}; path -> {args.out}")
     return EXIT_OK
 
@@ -285,9 +283,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_report(args) -> int:
-    manifest_path = args.run
-    if os.path.isdir(manifest_path):
-        manifest_path = os.path.join(manifest_path, "manifest.json")
+    manifest_path = os.path.join(args.run, "manifest.json") if os.path.isdir(args.run) else args.run
     doc = bench.load_manifest(_require_file(manifest_path, "manifest"))
     results = doc.get("results", {})
     print(f"target: {doc.get('config', {}).get('target_id')}")
@@ -296,13 +292,21 @@ def cmd_report(args) -> int:
     if "errors" in results:
         print(f"selected nodes: {results.get('selected_nodes')}")
         for name, err in results["errors"].items():
-            print(f"  {name:16s} rel_l2={err['rel_l2']:.4e} rmse={err['rmse']:.4e}")
+            print(f"  {name:16s} rel_l2={_number(err['rel_l2'])} rmse={_number(err['rmse'])}")
+    for row in results.get("random_restarts", []):
+        print(f"  restart {row['restart']}: test_rmse={_number(row['test_rmse'])} "
+              f"final_train_loss={_number(row['final_train_loss'])}")
     for row in results.get("sweep", []):
         if row.get("available"):
-            print(f"  N={row['n_nodes']:4d} gsn_init={row['gsn_init']['rel_l2']:.4e} "
-                  f"gsn_trained={row['gsn_trained']['rel_l2']:.4e} "
-                  f"random={row['random_trained']['rel_l2']:.4e}")
+            print(f"  N={row['n_nodes']:4d} gsn_init={_number(row['gsn_init']['rel_l2'])} "
+                  f"gsn_trained={_number(row['gsn_trained']['rel_l2'])} "
+                  f"random={_number(row['random_trained']['rel_l2'])}")
     return EXIT_OK
+
+
+def _number(value) -> str:
+    """A manifest number as the report prints it; null, a non-finite value, is undefined."""
+    return "undefined" if value is None else f"{value:.4e}"
 
 
 def build_parser() -> argparse.ArgumentParser:

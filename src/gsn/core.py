@@ -43,19 +43,20 @@ def relu(z):
 
 
 def preactivations(inputs: np.ndarray, A: np.ndarray, b: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray | None = None, products: np.ndarray | None = None) -> np.ndarray:
     """z[i, n] = A[n] . inputs[i] + b[n], accumulated in a fixed order.
 
     Sequential accumulation over coordinates keeps every row independent
     of the batch it sits in, so all evaluation paths agree bit for bit.
-    Written into ``out`` (n_points, n_directions) when given, else into a
-    fresh array; either way it is returned.
+    With the roles swapped, preactivations(A, inputs, b[:, None]) is z.T,
+    node-major, bit for bit. Written into ``out`` when given, and each
+    coordinate's products into ``products``; either way ``out`` is returned.
     """
     if out is None:
         out = np.empty((inputs.shape[0], A.shape[0]))
     out[...] = b
     for k in range(A.shape[1]):
-        out += inputs[:, k:k + 1] * A[:, k]
+        out += np.multiply(inputs[:, k:k + 1], A[:, k], out=products)
     return out
 
 
@@ -230,13 +231,11 @@ def batch_eval(net: ShallowNetwork, inputs) -> np.ndarray:
         raise ValueError("inputs must be a 2-d matrix")
     if inputs.shape[1] != net.input_dim:
         raise ValueError(f"inputs have dimension {inputs.shape[1]}, network expects {net.input_dim}")
-    if not net.n_nodes:
-        return np.zeros(inputs.shape[0])
-    z = preactivations(inputs, net.directions[:, :-1], net.directions[:, -1])
+    z = preactivations(net.directions[:, :-1], inputs, net.directions[:, -1:])  # node-major rows
     np.maximum(z, 0.0, out=z)
     out = np.zeros(inputs.shape[0])
-    for n in range(net.n_nodes):
-        out += net.weights[n] * z[:, n]
+    for w, row in zip(net.weights, z):
+        out += w * row
     return out
 
 

@@ -144,33 +144,28 @@ def _atom_rows(inputs: np.ndarray, A: np.ndarray, b: np.ndarray, drop_tol: float
     skipped directions at the end of the buffer are never written, so they
     take address space but no resident memory.
 
-    Blocks are built in two buffers allocated once, which share one budget
-    of BLOCK_BUDGET values: each stays smaller than the ridgelet field's
-    chunk temporaries (the full budget each raised ex3's peak RSS by 1 MB,
-    through glibc's adaptive mmap threshold). The norms are summed over the
-    whole zero-initialized block buffer, at least two columns wide: numpy
-    sums a lone column pairwise but the columns of a wider block row by row,
-    so no norm depends on where the blocks end.
+    Blocks are built node-major, (width, n_train), in two buffers allocated
+    once that share BLOCK_BUDGET values, each smaller than the ridgelet field's
+    chunk temporaries (the full budget each raised ex3's peak RSS by 1 MB, by
+    glibc's adaptive mmap threshold). Norms sum the points in order, whatever the blocks.
     """
     n, m = inputs.shape[0], A.shape[0]
-    width = max(2, BLOCK_BUDGET // (2 * n))
-    rows = np.empty((m, n))
-    norms = np.empty(m)
-    kept = np.empty(m, dtype=np.intp)
-    z = np.zeros((n, width))
-    squares = np.empty_like(z)
-    z_norms = np.empty(width)
+    width = max(1, BLOCK_BUDGET // (2 * n))
+    columns = np.ascontiguousarray(inputs.T).T  # contiguous coordinate columns
+    rows, norms, kept = np.empty((m, n)), np.empty(m), np.empty(m, dtype=np.intp)
+    z, squares, z_norms = np.empty((width, n)), np.empty((width, n)), np.empty(width)
     k = 0
     for lo in range(0, m, width):
-        block = preactivations(inputs, A[lo:lo + width], b[lo:lo + width], z[:, :min(width, m - lo)])
+        hi = min(lo + width, m)
+        block, sq, block_norms = z[:hi - lo], squares[:hi - lo], z_norms[:hi - lo]
+        preactivations(A[lo:hi], columns, b[lo:hi, None], block, sq)
         np.maximum(block, 0.0, out=block)
-        np.multiply(z, z, out=squares)
-        np.sqrt(np.add.reduce(squares, axis=0, out=z_norms), out=z_norms)
-        live = np.flatnonzero(z_norms[:block.shape[1]] > drop_tol)
+        np.multiply(block, block, out=sq)
+        np.sqrt(np.add.accumulate(sq, axis=1, out=sq)[:, -1], out=block_norms)
+        live = np.flatnonzero(block_norms > drop_tol)
         n_live = live.size
-        live_block = block if n_live == block.shape[1] else block[:, live]
-        np.divide(live_block.T, z_norms[live, None], out=rows[k:k + n_live])
-        norms[k:k + n_live] = z_norms[live]
+        np.divide(block if n_live == hi - lo else block[live], block_norms[live, None], out=rows[k:k + n_live])
+        norms[k:k + n_live] = block_norms[live]
         kept[k:k + n_live] = lo + live
         k += n_live
     return rows[:k], norms[:k], kept[:k]

@@ -45,6 +45,22 @@ def test_bench_smoke(tmp_path, capsys):
     assert all(np.isfinite(e["rel_l2"]) for e in errs.values())
 
 
+def test_manifest_is_strict_json_after_zero_epochs(tmp_path, capsys):
+    # with no epoch trained a restart has no final train loss: the manifest
+    # writes it as null, never as NaN, and the report prints it as undefined
+    assert run_cli(*bench_args(tmp_path, "--epochs", "0", "--restarts", "2")) == 0
+    run_dir = next(p for p in tmp_path.iterdir() if p.is_dir())
+
+    def reject(token):
+        raise ValueError(f"manifest holds the non-JSON constant {token}")
+
+    doc = json.loads((run_dir / "manifest.json").read_text(), parse_constant=reject)
+    assert [r["final_train_loss"] for r in doc["results"]["random_restarts"]] == [None, None]
+    capsys.readouterr()
+    assert run_cli("report", str(run_dir)) == 0
+    assert capsys.readouterr().out.count("final_train_loss=undefined") == 2
+
+
 def test_bench_unknown_example(tmp_path, capsys):
     code = run_cli("bench", "ex9", "--out", str(tmp_path))
     assert code == 2

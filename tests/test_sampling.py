@@ -183,7 +183,7 @@ def test_load_directions_csv_rejects_bad_rows(tmp_path, row):
 
 def build_width(n_train):
     """Directions per block of the dictionary build."""
-    return max(2, BLOCK_BUDGET // (2 * n_train))
+    return max(1, BLOCK_BUDGET // (2 * n_train))
 
 
 def blocked_case():
@@ -200,7 +200,7 @@ def blocked_case():
 
 
 def lone_column_case(n_train, m):
-    """Directions whose last build block holds a single column."""
+    """Directions whose last build block holds a single direction."""
     ds = generate_dataset(bench.get_target("ex3"), n_train, seed=6)
     return ds, sample_gaussian_sphere(2, m, seed=8), ()
 
@@ -216,6 +216,7 @@ def test_build_dictionary_matches_unblocked_reference():
         "k=2-at-256": lone_column_case(256, 2 * build_width(256) + 1),
         "one-at-40": lone_column_case(40, 1),
         "one-at-1024": lone_column_case(1024, 1),
+        "width-8-at-4000": lone_column_case(4000, 3 * build_width(4000) + 1),
     }
     for name, (ds, dirs, dead) in cases.items():
         dic = build_dictionary(ds, dirs)

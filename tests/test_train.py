@@ -206,14 +206,64 @@ def test_train_params_matches_reference_bits(rng, n, dim, n_nodes, batch_size):
 
 def test_gradients_reused_buffers_match_fresh_call(rng):
     p = params_from_network(random_network(rng, 7, 3))
-    work = work_buffers(11, 7)
+    work = work_buffers((11, 4, 1, 9), 7)
     for rows in (11, 4, 11, 1, 9):
         batch = random_batch(rng, rows, 3)
         fresh = kernel_gradients(p, batch.inputs, batch.targets)
         reused = NetParams(np.empty_like(p.A), np.empty_like(p.b), np.empty_like(p.c))
-        gradients(p.A, p.b, p.c, batch.inputs, batch.targets, reused.A, reused.b, reused.c, work)
+        gradients(p.A, p.b, p.c, batch.inputs, batch.targets, reused.A, reused.b, reused.c, work[rows])
         for g, w in ((reused.A, fresh.A), (reused.b, fresh.b), (reused.c, fresh.c)):
             assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def test_stacked_gradients_match_each_restart(rng):
+    # a leading restart axis gives each restart the gradients of a lone network
+    nets = [params_from_network(random_network(rng, 5, 2)) for _ in range(3)]
+    stacked = NetParams(*(np.stack([getattr(p, k) for p in nets]) for k in ("A", "b", "c")))
+    batch = random_batch(rng, 9, 2)
+    got = NetParams(np.empty_like(stacked.A), np.empty_like(stacked.b), np.empty_like(stacked.c))
+    gradients(stacked.A, stacked.b, stacked.c, batch.inputs, batch.targets, got.A, got.b, got.c)
+    for r, p in enumerate(nets):
+        want = kernel_gradients(p, batch.inputs, batch.targets)
+        for g, w in ((got.A[r], want.A), (got.b[r], want.b), (got.c[r], want.c)):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 11, 1000])
+def test_multi_restart_trains_restarts_together(rng, monkeypatch, batch_size):
+    # batch 11 leaves a partial last batch (40 = 3*11 + 7), 1000 is full batch;
+    # node 0 of every restart is dead on the whole box
+    import gsn.train as train_module
+
+    draw = train_module.truncated_normal_params
+
+    def with_dead_node(n_nodes, input_dim, seed):
+        p = draw(n_nodes, input_dim, seed)
+        p.b[0] = -1.0
+        return p
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].A.shape)
+        return train_params(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "truncated_normal_params", with_dead_node)
+    monkeypatch.setattr(train_module, "train_params", counting)
+    ds, test = random_batch(rng, 40, 2), random_batch(rng, 50, 2)
+    cfg = TrainConfig(epochs=15, batch_size=batch_size, initial_lr=1e-2, seed=5)
+    best, records, curve = multi_restart(6, ds, None, test, cfg, 100, n_restarts=3)
+    assert calls == [(3, 6, 2)]  # all three restarts in one call
+    singles = [multi_restart(6, ds, None, test, cfg, 100 + r, n_restarts=1) for r in range(3)]
+    assert calls[1:] == [(6, 2)] * 3  # a lone restart steps 2-D arrays
+    for r, (record, (_, (single,), _)) in enumerate(zip(records, singles)):
+        assert (record.restart, record.init_seed) == (r, 100 + r)
+        assert np.array_equal(np.float64([record.test_error, record.final_train_loss]).view(np.uint64),
+                              np.float64([single.test_error, single.final_train_loss]).view(np.uint64))
+    s_best, _, s_curve = singles[int(np.argmin([s[1][0].test_error for s in singles]))]
+    assert np.array_equal(best.directions.view(np.uint64), s_best.directions.view(np.uint64))
+    assert np.array_equal(best.weights.view(np.uint64), s_best.weights.view(np.uint64))
+    assert np.array_equal(curve.view(np.uint64), s_curve.view(np.uint64))
 
 
 def test_train_determinism(rng):
