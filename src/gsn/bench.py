@@ -544,14 +544,17 @@ def config_from_dict(doc: dict, target_id: str | None = None,
 
     The document is laid over ``default_config(target_id, seed)``; the
     arguments win over its own ``target_id`` and ``seed``, and an explicit
-    ``seed`` re-derives both shuffle seeds too. Keys and JSON types (and a
-    sweep's ``node_counts``) are checked here, values by the dataclasses.
+    ``seed`` re-derives both shuffle seeds too. Keys and JSON types (and an
+    ex6 sweep's ``node_counts``) are checked here, values by the dataclasses.
     Every fault raises ValueError.
     """
     target_id = target_id or doc.get("target_id")
     if target_id not in _DEFAULTS:
         raise ValueError(f"unknown example id {target_id!r}: give one of {', '.join(_DEFAULTS)} "
                          "as the config's target_id or on the command line")
+    if "node_counts" in doc and target_id != "ex6":
+        raise ValueError("config field 'node_counts' sets the sizes of an ex6 sweep; "
+                         f"{target_id} takes none")
     counts = doc.get("node_counts", [1])
     if not (type(counts) is list and counts and all(type(n) is int and n > 0 for n in counts)):
         raise ValueError("config field 'node_counts' must be a non-empty list of positive integers")

@@ -145,6 +145,9 @@ def _stage_config(args, **options) -> bench.ExperimentConfig:
 
 def cmd_bench(args) -> int:
     cfg, doc = build_experiment_config(args)
+    if cfg.target_id == "ex6" and cfg.n_nodes is not None:
+        raise CliError("ex6 runs a node-count sweep, which takes no n_nodes (--nodes); "
+                       "set its sizes with the config field node_counts")
     check_dictionary_fits(cfg.n_train, cfg.dict_size, 2 if cfg.prune else 1)
     os.makedirs(args.out, exist_ok=True)
     if cfg.target_id == "ex6":

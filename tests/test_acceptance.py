@@ -5,7 +5,9 @@ criterion. Budgets are asserted where the criterion states one; the heavy
 benchmark fixtures are session-scoped so related criteria share one run.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from gsn.train import NetParams, TrainConfig, gradients, params_from_network
 from scipy.integrate import quad
 
 from conftest import synthetic_dictionary, unit_rows
+
+DESK_EX6 = Path(__file__).resolve().parents[1] / "configs" / "desk" / "ex6.json"
 
 
 def report(number, ok, elapsed, detail=""):
@@ -327,12 +331,10 @@ def test_criterion_9_determinism(tmp_path):
 
 def test_criterion_10_example6_sweep():
     t0 = time.perf_counter()
-    cfg = default_config("ex6", seed=0)
-    cfg = replace(cfg,
-                  n_train=2000, n_val=500, n_test=4000, dict_size=10_000,
-                  max_iter=160,
-                  gsn_train=replace(cfg.gsn_train, epochs=2000),
-                  random_train=replace(cfg.random_train, epochs=2000))
+    doc = json.loads(DESK_EX6.read_text())
+    cfg = bench.config_from_dict({**doc, "max_iter": 160, "n_restarts": 5,
+                                  "gsn_train": {**doc["gsn_train"], "epochs": 2000},
+                                  "random_train": {**doc["random_train"], "epochs": 2000}})
     sweep = bench.node_sweep(cfg, (10, 20, 40, 80, 160))
     assert all(p.available for p in sweep.points)
     wins = sum(p.gsn_trained.rel_l2 <= p.random_trained.rel_l2 for p in sweep.points)

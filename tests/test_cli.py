@@ -519,6 +519,8 @@ def test_ridgelet_without_directions_exits_2(tmp_path, capsys):
     {"epochs": 10},
     {"gsn_batch": 5},
     {"target": "ex1"},
+    # wrong for every example: only ex6 takes node_counts, and its sweep takes no n_nodes
+    {"node_counts": [3, 7], "n_nodes": 5},
 ])
 @pytest.mark.parametrize("example", ["ex1", "ex6"])
 def test_config_field_types_checked_before_any_work(tmp_path, capsys, monkeypatch, fields, example):
@@ -612,6 +614,21 @@ def test_bench_count_flags_checked_before_any_work(tmp_path, capsys, monkeypatch
     assert run_cli("bench", example, *flags, "--out", str(out)) == 2
     assert "must be >= " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bench_ex6_refuses_nodes_flag(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("no work may start on an invalid config")
+
+    monkeypatch.setattr(bench, "node_sweep", never)
+    out = tmp_path / "out"
+    assert run_cli("bench", "ex6", "--nodes", "5", "--out", str(out)) == 2
+    assert "node_counts" in capsys.readouterr().err
+    assert not out.exists()
+    # gsn sample keeps --nodes: gsn greedy reads n_nodes from its config.json
+    assert run_cli("sample", "ex6", "--nodes", "5", "--config", str(write_tiny_config(tmp_path)),
+                   "--out", str(tmp_path / "s")) == 0
+    assert json.loads((tmp_path / "s" / "config.json").read_text())["n_nodes"] == 5
 
 
 @pytest.mark.parametrize("nodes", ["0", "-2"])
