@@ -294,30 +294,29 @@ def run_gsn_pipeline(cfg: ExperimentConfig) -> GsnBranch:
     train_set, val_set, test_set = _staged(
         "sample", lambda: make_datasets(cfg), timings)
     directions = _staged("directions", lambda: make_directions(cfg), timings)
-    dictionary = _staged(
-        "dict", lambda: sampling.build_dictionary(train_set, directions, cfg.drop_tol), timings)
-    size_before = dictionary.n_atoms
-
-    fld = None
-    degenerate = False
+    fld, degenerate, kept = None, False, slice(None)
     if cfg.prune:
-        fld = _staged(
-            "ridgelet",
-            lambda: ridgelet.collapsed_field(train_set, dictionary.directions,
-                                             cfg.quadrature, threads=cfg.threads),
-            timings)
-        pruned = _staged(
-            "prune", lambda: ridgelet.prune_dictionary(dictionary, fld, cfg.prune_threshold),
-            timings)
+        # the field needs only the live directions, so the atoms it drops are never built
+        live = _staged("scan", lambda: sampling.live_rows(train_set, directions, cfg.drop_tol), timings)
+        fld = _staged("ridgelet", lambda: ridgelet.collapsed_field(
+            train_set, directions[live], cfg.quadrature, threads=cfg.threads), timings)
         degenerate = bool(np.all(fld.values == 0.0))
-        dictionary = pruned
+        kept = live[_staged("prune", lambda: ridgelet.keep_rows(fld.values, cfg.prune_threshold),
+                            timings)]
+    dictionary = _staged(
+        "dict", lambda: sampling.build_dictionary(train_set, directions[kept], cfg.drop_tol), timings)
+    if cfg.prune:  # source indices into the sampled directions
+        dictionary = replace(dictionary, source_indices=kept[dictionary.source_indices])
+    size_before = live.size if cfg.prune else dictionary.n_atoms
+    size_after = dictionary.n_atoms
 
     path = _staged(
         "greedy", lambda: greedy.oga_run(dictionary, train_set, val_set, cfg.max_iter),
         timings)
+    path_dirs = dictionary.directions[path.atom_indices]
+    del dictionary  # the rest needs only the path directions: free the features
     if not path.records:
         raise PipelineError("greedy", ValueError("greedy produced an empty path"))
-    path_dirs = dictionary.directions[path.atom_indices]
     n_nodes = cfg.n_nodes if cfg.n_nodes is not None else greedy.select_model(path)
     n_nodes = min(n_nodes, len(path.records))
 
@@ -331,7 +330,7 @@ def run_gsn_pipeline(cfg: ExperimentConfig) -> GsnBranch:
 
     return GsnBranch(
         train_set=train_set, val_set=val_set, test_set=test_set,
-        dictionary_size_before=size_before, dictionary_size_after=dictionary.n_atoms,
+        dictionary_size_before=size_before, dictionary_size_after=size_after,
         prune_degenerate=degenerate,
         path=path, path_directions=path_dirs,
         selected_nodes=n_nodes,
@@ -461,8 +460,8 @@ class SweepReport:
 def node_sweep(cfg: ExperimentConfig, node_counts) -> SweepReport:
     """Truncate one greedy path at each size and train both branches there."""
     node_counts = tuple(int(n) for n in node_counts)
-    base_cfg = replace(cfg, n_nodes=None, max_iter=max(cfg.max_iter, max(node_counts)))
-    base = run_gsn_pipeline(replace(base_cfg, gsn_train=replace(cfg.gsn_train, epochs=0)))
+    cfg = replace(cfg, max_iter=max(cfg.max_iter, max(node_counts)))  # hashed and recorded as run
+    base = run_gsn_pipeline(replace(cfg, n_nodes=None, gsn_train=replace(cfg.gsn_train, epochs=0)))
     points = []
     random_timing = 0.0
     for n in node_counts:

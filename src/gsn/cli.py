@@ -62,8 +62,8 @@ def available_memory_bytes() -> int | None:
 def check_dictionary_fits(n_train: int, n_directions: int, copies: int = 1) -> None:
     """Refuse, before allocating them, feature matrices larger than free memory.
 
-    ``copies`` is 2 where pruning copies the kept columns while the full
-    dictionary is still alive.
+    ``copies`` is 2 for `gsn prune`, which copies the kept columns while the
+    full dictionary is still alive.
     """
     need = copies * n_train * n_directions * 8
     avail = available_memory_bytes()
@@ -148,7 +148,7 @@ def cmd_bench(args) -> int:
     if cfg.target_id == "ex6" and cfg.n_nodes is not None:
         raise CliError("ex6 runs a node-count sweep, which takes no n_nodes (--nodes); "
                        "set its sizes with the config field node_counts")
-    check_dictionary_fits(cfg.n_train, cfg.dict_size, 2 if cfg.prune else 1)
+    check_dictionary_fits(cfg.n_train, cfg.dict_size)
     os.makedirs(args.out, exist_ok=True)
     if cfg.target_id == "ex6":
         report = bench.node_sweep(cfg, doc["node_counts"])

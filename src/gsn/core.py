@@ -224,18 +224,25 @@ def batch_eval(net: ShallowNetwork, inputs) -> np.ndarray:
 
     Accumulation order is fixed (sequential over input coordinates and
     nodes) so each output row is independent of the batch it sits in;
-    batched and pointwise evaluation agree bit for bit.
+    batched and pointwise evaluation agree bit for bit. The points go in
+    blocks of BLOCK_BUDGET activations, through buffers allocated once.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
         raise ValueError("inputs must be a 2-d matrix")
     if inputs.shape[1] != net.input_dim:
         raise ValueError(f"inputs have dimension {inputs.shape[1]}, network expects {net.input_dim}")
-    z = preactivations(net.directions[:, :-1], inputs, net.directions[:, -1:])  # node-major rows
-    np.maximum(z, 0.0, out=z)
-    out = np.zeros(inputs.shape[0])
-    for w, row in zip(net.weights, z):
-        out += w * row
+    width = max(1, min(len(inputs), BLOCK_BUDGET // max(1, net.n_nodes)))
+    z, products = np.empty((net.n_nodes, width)), np.empty((net.n_nodes, width))
+    out = np.zeros(len(inputs))
+    for lo in range(0, len(out), width):
+        hi = min(lo + width, len(out))
+        block = preactivations(net.directions[:, :-1], inputs[lo:hi], net.directions[:, -1:],
+                               z[:, :hi - lo], products[:, :hi - lo])  # node-major rows
+        np.maximum(block, 0.0, out=block)
+        acc = out[lo:hi]
+        for w, row in zip(net.weights, block):
+            acc += w * row
     return out
 
 

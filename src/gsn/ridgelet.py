@@ -203,24 +203,25 @@ def collapsed_field(dataset: Dataset, directions, quad: RadialQuadrature | None 
     return CollapsedField(W, values)
 
 
-def prune_dictionary(dictionary: Dictionary, fld: CollapsedField,
-                     rel_threshold: float = 1e-3) -> Dictionary:
-    """Keep atoms whose |collapsed value| exceeds rel_threshold * max.
-
-    Field values must correspond 1-1 with the dictionary's atoms. If every
-    value is zero the threshold is degenerate: the dictionary is returned
-    unchanged and a warning is issued.
-    """
+def keep_rows(values, rel_threshold: float = 1e-3) -> np.ndarray:
+    """Indices of the field values whose magnitude exceeds rel_threshold * max; if
+    every value is zero the threshold is degenerate: all are kept, with a warning."""
     if not 0.0 <= rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in [0, 1)")
-    if fld.values.size != dictionary.n_atoms:
-        raise ValueError("field must hold one value per dictionary atom")
-    mags = np.abs(fld.values)
+    mags = np.abs(values)
     peak = mags.max()
     if peak == 0.0:
         warnings.warn("all collapsed values are zero; pruning skipped", RuntimeWarning)
-        return dictionary
-    keep = np.flatnonzero(mags > rel_threshold * peak)
+        return np.arange(mags.size)
+    return np.flatnonzero(mags > rel_threshold * peak)
+
+
+def prune_dictionary(dictionary: Dictionary, fld: CollapsedField,
+                     rel_threshold: float = 1e-3) -> Dictionary:
+    """Copies of the atoms that ``keep_rows`` keeps, given one field value per atom."""
+    if fld.values.size != dictionary.n_atoms:
+        raise ValueError("field must hold one value per dictionary atom")
+    keep = keep_rows(fld.values, rel_threshold)
     return Dictionary(
         features=dictionary.features[:, keep],
         raw_norms=dictionary.raw_norms[keep],

@@ -135,6 +135,29 @@ def generate_dataset(target, n_points: int, seed: int, layout: str = "random-uni
     return Dataset(inputs, targets, bounds)
 
 
+def _relu_blocks(inputs: np.ndarray, A: np.ndarray, b: np.ndarray):
+    """ReLU activations of the directions [A | b] on ``inputs``, block by block.
+
+    Yields (lo, block, norms): block[k] is the activation vector of direction
+    lo + k and norms[k] its raw l2 norm, summed over the points in order
+    whatever the blocks. Each block overwrites the last in two buffers sharing
+    BLOCK_BUDGET values, each smaller than the ridgelet field's chunk temporaries
+    (the full budget each raised ex3's peak RSS by 1 MB: glibc's mmap threshold).
+    """
+    n, m = inputs.shape[0], A.shape[0]
+    width = max(1, BLOCK_BUDGET // (2 * n))
+    columns = np.ascontiguousarray(inputs.T).T  # contiguous coordinate columns
+    z, squares, z_norms = np.empty((width, n)), np.empty((width, n)), np.empty(width)
+    for lo in range(0, m, width):
+        hi = min(lo + width, m)
+        block, sq, block_norms = z[:hi - lo], squares[:hi - lo], z_norms[:hi - lo]
+        preactivations(A[lo:hi], columns, b[lo:hi, None], block, sq)
+        np.maximum(block, 0.0, out=block)
+        np.multiply(block, block, out=sq)
+        np.sqrt(np.add.accumulate(sq, axis=1, out=sq)[:, -1], out=block_norms)
+        yield lo, block, block_norms
+
+
 def _atom_rows(inputs: np.ndarray, A: np.ndarray, b: np.ndarray, drop_tol: float):
     """Normalized ReLU atoms, each written once into one atom-major buffer.
 
@@ -143,32 +166,31 @@ def _atom_rows(inputs: np.ndarray, A: np.ndarray, b: np.ndarray, drop_tol: float
     norm is <= drop_tol are skipped; the rest keep their order. The rows of
     skipped directions at the end of the buffer are never written, so they
     take address space but no resident memory.
-
-    Blocks are built node-major, (width, n_train), in two buffers allocated
-    once that share BLOCK_BUDGET values, each smaller than the ridgelet field's
-    chunk temporaries (the full budget each raised ex3's peak RSS by 1 MB, by
-    glibc's adaptive mmap threshold). Norms sum the points in order, whatever the blocks.
     """
-    n, m = inputs.shape[0], A.shape[0]
-    width = max(1, BLOCK_BUDGET // (2 * n))
-    columns = np.ascontiguousarray(inputs.T).T  # contiguous coordinate columns
-    rows, norms, kept = np.empty((m, n)), np.empty(m), np.empty(m, dtype=np.intp)
-    z, squares, z_norms = np.empty((width, n)), np.empty((width, n)), np.empty(width)
+    m = A.shape[0]
+    rows, norms, kept = np.empty((m, inputs.shape[0])), np.empty(m), np.empty(m, dtype=np.intp)
     k = 0
-    for lo in range(0, m, width):
-        hi = min(lo + width, m)
-        block, sq, block_norms = z[:hi - lo], squares[:hi - lo], z_norms[:hi - lo]
-        preactivations(A[lo:hi], columns, b[lo:hi, None], block, sq)
-        np.maximum(block, 0.0, out=block)
-        np.multiply(block, block, out=sq)
-        np.sqrt(np.add.accumulate(sq, axis=1, out=sq)[:, -1], out=block_norms)
+    for lo, block, block_norms in _relu_blocks(inputs, A, b):
         live = np.flatnonzero(block_norms > drop_tol)
         n_live = live.size
-        np.divide(block if n_live == hi - lo else block[live], block_norms[live, None], out=rows[k:k + n_live])
+        np.divide(block if n_live == len(block) else block[live], block_norms[live, None], out=rows[k:k + n_live])
         norms[k:k + n_live] = block_norms[live]
         kept[k:k + n_live] = lo + live
         k += n_live
     return rows[:k], norms[:k], kept[:k]
+
+
+def live_rows(dataset: Dataset, directions, drop_tol: float = 1e-12) -> np.ndarray:
+    """Rows of ``directions`` whose atoms ``build_dictionary`` keeps, found with
+    its block kernel and the same raw norms, but without writing any feature."""
+    W = check_directions(directions, dataset.dim)
+    norms = np.empty(len(W))
+    for lo, _, block_norms in _relu_blocks(dataset.inputs, W[:, :-1], W[:, -1]):
+        norms[lo:lo + len(block_norms)] = block_norms
+    live = np.flatnonzero(norms > drop_tol)
+    if not live.size:
+        raise ValueError("every sampled direction is dead on the training set")
+    return live
 
 
 def build_dictionary(dataset: Dataset, directions, drop_tol: float = 1e-12) -> Dictionary:

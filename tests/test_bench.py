@@ -1,12 +1,15 @@
+import contextlib
 import json
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
-from gsn import bench
+from gsn import bench, greedy, sampling, solve
 from gsn.bench import (
     ExperimentConfig,
     compute_errors,
@@ -19,8 +22,11 @@ from gsn.bench import (
     strip_meta,
     target_registry,
     write_run_artifacts,
+    write_sweep_artifacts,
 )
-from gsn.core import Dataset, ShallowNetwork
+from gsn.core import BLOCK_BUDGET, Dataset, ShallowNetwork
+from gsn.ridgelet import collapsed_field, prune_dictionary
+from gsn.sampling import build_dictionary, sample_gaussian_sphere
 from gsn.train import TrainConfig
 
 
@@ -178,6 +184,130 @@ def test_sweep_manifest_sums_baseline_time(monkeypatch):
     doc = node_sweep(tiny_config(max_iter=8), [2, 4, 500]).manifest()
     assert len(timings) == 2
     assert doc["meta"]["timings_sec"]["random.total"] == round(sum(timings), 6) > 0
+
+
+def test_node_sweep_records_the_max_iter_it_ran_with(tmp_path):
+    # the sweep raises max_iter to its largest node count; two configs that
+    # differ only below that run the same sweep, under one name
+    for max_iter in (2, 6):
+        cfg = tiny_config(target_id="ex6", n_train=40, dict_size=300, max_iter=max_iter,
+                          prune=False, n_restarts=1)
+        run_dir = write_sweep_artifacts(node_sweep(cfg, [3, 6]), tmp_path)
+        with open(f"{run_dir}/manifest.json") as fh:
+            assert json.load(fh)["config"]["max_iter"] == 6
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+class StopAtGreedy(Exception):
+    """Ends a pipeline run where greedy would start."""
+
+
+def dictionary_at_greedy(monkeypatch, cfg, on_entry=lambda dictionary: None):
+    """The dictionary that run_gsn_pipeline hands to greedy."""
+    got = []
+
+    def stop(dictionary, *args):
+        on_entry(dictionary)
+        got.append(dictionary)
+        raise StopAtGreedy
+
+    with monkeypatch.context() as m:
+        m.setattr(greedy, "oga_run", stop)
+        with pytest.raises(StopAtGreedy):
+            run_gsn_pipeline(cfg)
+    return got[0]
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("zero_field", [False, True])
+def test_pruned_pipeline_dictionary_matches_prune_of_full_build(monkeypatch, zero_field):
+    cfg = tiny_config(target_id="ex3", n_train=40, prune_threshold=0.1, threads=2)
+    width = BLOCK_BUDGET // (2 * cfg.n_train)  # directions per build block
+    dirs = sample_gaussian_sphere(2, 2 * width + 37, seed=8)
+    dead = [5, width + 60, len(dirs) - 1]  # in the first, a middle and the last block
+    dirs[dead] = [0.0, 0.0, -1.0]
+    monkeypatch.setattr(bench, "make_directions", lambda cfg: dirs)
+    if zero_field:  # zero targets: every field value is zero, so every atom is kept
+        zero = [Dataset(d.inputs, np.zeros(d.n_points), d.domain_bounds)
+                for d in bench.make_datasets(cfg)]
+        monkeypatch.setattr(bench, "make_datasets", lambda cfg: zero)
+
+    def warns():
+        return pytest.warns(RuntimeWarning, match="zero") if zero_field else contextlib.nullcontext()
+
+    train_set = bench.make_datasets(cfg)[0]
+    full = build_dictionary(train_set, dirs, cfg.drop_tol)
+    assert not set(dead) & set(full.source_indices.tolist())
+    fld = collapsed_field(train_set, full.directions, cfg.quadrature, threads=cfg.threads)
+    with warns():
+        expected = prune_dictionary(full, fld, cfg.prune_threshold)
+    with warns():
+        got = dictionary_at_greedy(monkeypatch, cfg)
+    if zero_field:
+        assert expected.n_atoms == full.n_atoms
+    else:
+        assert 0 < expected.n_atoms < full.n_atoms
+    for name in ("features", "raw_norms", "directions"):
+        assert np.array_equal(bits(getattr(got, name)), bits(getattr(expected, name))), name
+    assert np.array_equal(got.source_indices, expected.source_indices)
+    assert got.features.flags.f_contiguous
+
+
+def test_pruned_build_peak_memory(monkeypatch):
+    """Scan, field and kept build together peak at no more than 1.1x the kept
+    features plus the field's chunk temporaries, which it reaches alone."""
+    cfg = default_config("ex3", 0, n_test=64, dict_size=5_000, threads=1)
+    train_set, directions = bench.make_datasets(cfg)[0], bench.make_directions(cfg)
+    live = sampling.live_rows(train_set, directions, cfg.drop_tol)
+    tracemalloc.start()
+    try:
+        collapsed_field(train_set, directions[live], cfg.quadrature, threads=cfg.threads)
+        temporaries = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scan = sampling.live_rows
+
+    def traced_scan(*args):
+        tracemalloc.start()
+        return scan(*args)
+
+    monkeypatch.setattr(sampling, "live_rows", traced_scan)
+    peaks = []
+    try:
+        kept = dictionary_at_greedy(
+            monkeypatch, cfg, lambda d: peaks.append(tracemalloc.get_traced_memory()[1]))
+    finally:
+        tracemalloc.stop()
+    assert kept.n_atoms < live.size
+    assert peaks[0] <= 1.1 * kept.features.nbytes + temporaries
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_no_dictionary_alive_at_refit(monkeypatch, prune):
+    refs, alive = [], []
+    build, oga, refit = sampling.build_dictionary, greedy.oga_run, solve.refit_network
+
+    def recorded_build(*args):
+        out = build(*args)
+        refs.append(weakref.ref(out))
+        return out
+
+    def recorded_oga(dictionary, *args):
+        refs.append(weakref.ref(dictionary))
+        return oga(dictionary, *args)
+
+    def checked_refit(*args):
+        alive.append([ref() is not None for ref in refs])
+        return refit(*args)
+
+    monkeypatch.setattr(sampling, "build_dictionary", recorded_build)
+    monkeypatch.setattr(greedy, "oga_run", recorded_oga)
+    monkeypatch.setattr(solve, "refit_network", checked_refit)
+    run_gsn_pipeline(tiny_config(prune=prune))
+    assert alive == [[False, False]]
 
 
 def test_manifest_determinism(tmp_path):

@@ -546,12 +546,23 @@ def assert_config_refused(tmp_path, capsys, monkeypatch, example, fields):
     assert not out.exists()
 
 
-def test_bench_memory_check_counts_pruned_copy(tmp_path, capsys, monkeypatch):
-    # 16 x 150 features take 19,200 bytes; pruning may hold a second copy
+def test_bench_memory_check_counts_one_copy(tmp_path, capsys, monkeypatch):
+    # 16 x 150 features take 19,200 bytes: a pruned gsn bench run builds only
+    # the kept atoms, while gsn prune holds the dictionary and its pruned copy
     monkeypatch.setattr(cli, "available_memory_bytes", lambda: 30_000)
-    assert run_cli(*bench_args(tmp_path)) == 2
+    assert run_cli(*bench_args(tmp_path)) == 0
+    out = staged_dictionary(tmp_path)
+    assert run_cli("ridgelet", "--train", str(out / "train.csv"),
+                   "--directions", str(out / "directions.csv"),
+                   "--threads", "1", "--out", str(out / "field.csv")) == 0
+    n_atoms = len((out / "dictionary.csv").read_text().strip().splitlines()) - 1
+    prune = ["prune", "--train", str(out / "train.csv"), "--dict", str(out / "dictionary.csv"),
+             "--field", str(out / "field.csv"), "--out", str(out / "pruned.csv")]
+    monkeypatch.setattr(cli, "available_memory_bytes", lambda: 16 * n_atoms * 8 * 3 // 2)
+    assert run_cli(*prune) == 2
     assert "with its pruned copy" in capsys.readouterr().err
-    assert run_cli(*bench_args(tmp_path, "--no-prune")) == 0
+    monkeypatch.setattr(cli, "available_memory_bytes", lambda: 16 * n_atoms * 8 * 2)
+    assert run_cli(*prune) == 0
 
 
 def staged_dictionary(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gsn.core import (
+    BLOCK_BUDGET,
     UNIT_NORM_TOL,
     Dataset,
     Dictionary,
@@ -179,6 +180,28 @@ def test_batch_eval_matches_loop(rng):
     out = batch_eval(net, X)
     expected = np.array([evaluate_at(net, x) for x in X])
     assert np.array_equal(out, expected)
+
+
+def pointwise_sum(net, x):
+    """sum_n c_n relu(a_n . x + b_n) in Python floats, in batch_eval's order."""
+    total = 0.0
+    for row, c in zip(net.directions.tolist(), net.weights.tolist()):
+        z = row[-1]
+        for a, xk in zip(row[:-1], x.tolist()):
+            z += xk * a
+        total += c * max(z, 0.0)
+    return total
+
+
+def test_batch_eval_point_blocks_match_pointwise(rng):
+    net = random_network(rng, 64, 3)
+    width = BLOCK_BUDGET // net.n_nodes  # points per block
+    X = rng.uniform(-2, 2, size=(width + 1, 3))
+    for n in (1, width - 1, width, width + 1):
+        out = batch_eval(net, X[:n])
+        expected = np.array([pointwise_sum(net, x) for x in X[:n]])
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64)), n
+        assert np.array_equal(out[-1:], batch_eval(net, X[n - 1:n])), n
 
 
 def test_dataset_invariants():
