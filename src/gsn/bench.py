@@ -297,7 +297,7 @@ def run_gsn_pipeline(cfg: ExperimentConfig) -> GsnBranch:
     fld, degenerate, kept = None, False, slice(None)
     if cfg.prune:
         # the field needs only the live directions, so the atoms it drops are never built
-        live = _staged("scan", lambda: sampling.live_rows(train_set, directions, cfg.drop_tol), timings)
+        live, _ = _staged("scan", lambda: sampling.live_rows(train_set, directions, cfg.drop_tol), timings)
         fld = _staged("ridgelet", lambda: ridgelet.collapsed_field(
             train_set, directions[live], cfg.quadrature, threads=cfg.threads), timings)
         degenerate = bool(np.all(fld.values == 0.0))

@@ -59,17 +59,12 @@ def available_memory_bytes() -> int | None:
     return None
 
 
-def check_dictionary_fits(n_train: int, n_directions: int, copies: int = 1) -> None:
-    """Refuse, before allocating them, feature matrices larger than free memory.
-
-    ``copies`` is 2 for `gsn prune`, which copies the kept columns while the
-    full dictionary is still alive.
-    """
-    need = copies * n_train * n_directions * 8
+def check_dictionary_fits(n_train: int, n_directions: int) -> None:
+    """Refuse, before allocating it, a feature matrix larger than free memory."""
+    need = n_train * n_directions * 8
     avail = available_memory_bytes()
     if avail is not None and need > avail:
-        held = " (with its pruned copy)" if copies == 2 else ""
-        raise CliError(f"dictionary of {n_train} points x {n_directions} directions{held} needs "
+        raise CliError(f"dictionary of {n_train} points x {n_directions} directions needs "
                        f"{need / 2**30:.2f} GiB of features; only {avail / 2**30:.2f} GiB "
                        f"of memory is available")
 
@@ -80,17 +75,6 @@ def _load(loader, path: str, role: str, *args):
         return loader(_require_file(path, role), *args)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"malformed {role} file {path}: {exc}") from exc
-
-
-def _count_rows(path: str) -> int:
-    with open(path) as fh:
-        return sum(1 for line in fh if line.strip()) - 1
-
-
-def _load_dictionary(path: str, train_set, copies: int = 1):
-    """Dictionary CSV rebuilt on the training set, after checking its features fit in memory."""
-    check_dictionary_fits(train_set.n_points, _load(_count_rows, path, "dictionary"), copies)
-    return _load(sampling.load_dictionary_csv, path, "dictionary", train_set)
 
 
 def load_experiment_config(path: str | None, target_id: str | None = None,
@@ -178,13 +162,12 @@ def cmd_dict(args) -> int:
     cfg = _stage_config(args, drop_tol="--drop-tol")
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     directions = _load(sampling.load_directions_csv, args.directions, "directions", train_set.dim)
-    check_dictionary_fits(train_set.n_points, len(directions))
     try:
-        dictionary = sampling.build_dictionary(train_set, directions, cfg.drop_tol)
-    except ValueError as exc:  # no direction, or none live on this training set
+        live, norms = sampling.live_rows(train_set, directions, cfg.drop_tol)
+    except ValueError as exc:  # no direction live on this training set
         raise CliError(f"no dictionary from directions file {args.directions}: {exc}") from exc
-    sampling.save_dictionary_csv(dictionary, args.out)
-    print(f"kept {dictionary.n_atoms} of {len(directions)} atoms -> {args.out}")
+    sampling.save_dictionary_csv(sampling.DictionaryRows(live, directions[live], norms), args.out)
+    print(f"kept {live.size} of {len(directions)} atoms -> {args.out}")
     return EXIT_OK
 
 
@@ -202,20 +185,18 @@ def cmd_ridgelet(args) -> int:
 
 def cmd_prune(args) -> int:
     cfg = _stage_config(args, prune_threshold="--threshold")
-    train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     fld = _load(ridgelet.load_field_csv, args.field, "field")
-    dictionary = _load_dictionary(args.dict, train_set, copies=2)
-    src = dictionary.source_indices
+    rows = _load(sampling.read_dictionary_csv, args.dict, "dictionary")
+    src = rows.source_indices
     if src.min() < 0 or src.max() >= len(fld.values):
         raise CliError(f"field {args.field} has {len(fld.values)} rows; the dictionary refers "
                        f"to source rows {src.min()}..{src.max()}")
-    if not np.array_equal(fld.directions[src], dictionary.directions):
+    if not np.array_equal(fld.directions[src], rows.directions):
         raise CliError(f"field {args.field} was computed on other directions than "
                        f"dictionary {args.dict}")
-    sub = ridgelet.CollapsedField(dictionary.directions, fld.values[src])
-    pruned = ridgelet.prune_dictionary(dictionary, sub, cfg.prune_threshold)
-    sampling.save_dictionary_csv(pruned, args.out)
-    print(f"kept {pruned.n_atoms} of {dictionary.n_atoms} atoms -> {args.out}")
+    keep = ridgelet.keep_rows(fld.values[src], cfg.prune_threshold)
+    sampling.save_dictionary_csv(sampling.DictionaryRows(*(col[keep] for col in rows)), args.out)
+    print(f"kept {keep.size} of {src.size} atoms -> {args.out}")
     return EXIT_OK
 
 
@@ -223,7 +204,12 @@ def cmd_greedy(args) -> int:
     cfg = _stage_config(args, max_iter="--max-iter", n_nodes="--nodes")
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     val_set = _load(sampling.load_dataset_csv, args.val, "validation set")
-    dictionary = _load_dictionary(args.dict, train_set)
+    rows = _load(sampling.read_dictionary_csv, args.dict, "dictionary", train_set.dim)
+    check_dictionary_fits(train_set.n_points, rows.source_indices.size)
+    try:
+        dictionary = sampling.load_dictionary_csv(rows, train_set)
+    except ValueError as exc:  # atoms dead on this training set
+        raise CliError(f"malformed dictionary file {args.dict}: {exc}") from exc
     path = greedy.oga_run(dictionary, train_set, val_set, cfg.max_iter)
     if not path.records:
         raise CliError("greedy selected nothing; increase --max-iter")
@@ -357,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     stage("ridgelet", cmd_ridgelet, "collapsed transform over sampled directions",
           ["--train", "--directions"],
           [("--r-max", "quad_r_max", float), ("--threads", "threads", int)])
-    stage("prune", cmd_prune, "threshold the dictionary by field magnitude",
-          ["--train", "--dict", "--field"], [("--threshold", "prune_threshold", float)])
+    stage("prune", cmd_prune, "threshold the dictionary rows by field magnitude",
+          ["--dict", "--field"], [("--threshold", "prune_threshold", float)])
     p = stage("greedy", cmd_greedy, "orthogonal greedy selection over a dictionary",
               ["--train", "--val", "--dict"],
               [("--max-iter", "max_iter", int), ("--nodes", "n_nodes", int)])

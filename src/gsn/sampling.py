@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -180,9 +181,9 @@ def _atom_rows(inputs: np.ndarray, A: np.ndarray, b: np.ndarray, drop_tol: float
     return rows[:k], norms[:k], kept[:k]
 
 
-def live_rows(dataset: Dataset, directions, drop_tol: float = 1e-12) -> np.ndarray:
-    """Rows of ``directions`` whose atoms ``build_dictionary`` keeps, found with
-    its block kernel and the same raw norms, but without writing any feature."""
+def live_rows(dataset: Dataset, directions, drop_tol: float = 1e-12):
+    """Rows of ``directions`` whose atoms ``build_dictionary`` keeps, and their raw
+    norms, found with its block kernel but without writing any feature."""
     W = check_directions(directions, dataset.dim)
     norms = np.empty(len(W))
     for lo, _, block_norms in _relu_blocks(dataset.inputs, W[:, :-1], W[:, -1]):
@@ -190,7 +191,7 @@ def live_rows(dataset: Dataset, directions, drop_tol: float = 1e-12) -> np.ndarr
     live = np.flatnonzero(norms > drop_tol)
     if not live.size:
         raise ValueError("every sampled direction is dead on the training set")
-    return live
+    return live, norms[live]
 
 
 def build_dictionary(dataset: Dataset, directions, drop_tol: float = 1e-12) -> Dictionary:
@@ -201,8 +202,6 @@ def build_dictionary(dataset: Dataset, directions, drop_tol: float = 1e-12) -> D
     the row of every kept atom in ``directions``.
     """
     W = check_directions(directions, dataset.dim)
-    if not len(W):
-        raise ValueError("need at least one direction")
     rows, norms, kept = _atom_rows(dataset.inputs, W[:, :-1], W[:, -1], drop_tol)
     if not kept.size:
         raise ValueError("every sampled direction is dead on the training set")
@@ -257,28 +256,42 @@ def load_directions_csv(path, dim: int) -> np.ndarray:
     return check_directions(data, dim)
 
 
-def save_dictionary_csv(dictionary: Dictionary, path) -> None:
-    """Kept atoms only: source index, direction coordinates, raw norm."""
-    d = dictionary.directions.shape[1] - 1
+# the rows of a dictionary CSV: one atom each, without its features
+DictionaryRows = namedtuple("DictionaryRows", "source_indices directions raw_norms")
+
+
+def save_dictionary_csv(rows, path) -> None:
+    """One row per atom of ``rows`` (DictionaryRows, or a Dictionary): source
+    index, direction coordinates, raw norm."""
+    d = rows.directions.shape[1] - 1
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source_index"] + [f"a{i+1}" for i in range(d)] + ["b", "raw_norm"])
-        for src, row, norm in zip(dictionary.source_indices.tolist(), dictionary.directions.tolist(),
-                                  dictionary.raw_norms.tolist()):
+        for src, row, norm in zip(rows.source_indices.tolist(), rows.directions.tolist(),
+                                  rows.raw_norms.tolist()):
             writer.writerow([src] + [repr(v) for v in row] + [repr(norm)])
 
 
-def load_dictionary_csv(path, dataset: Dataset) -> Dictionary:
-    """Rebuild a Dictionary from its CSV against the training set it came from."""
+def read_dictionary_csv(path, dim: int | None = None) -> DictionaryRows:
+    """Validated rows of a dictionary CSV: unique integer source indices, unit directions
+    (with ``dim`` input coordinates, if given) and finite positive raw norms."""
     with open(path, newline="") as fh:
         _, data = read_csv_table(fh)
     if not len(data):
-        raise ValueError(f"empty dictionary CSV {path}")
+        raise ValueError("no atom rows")
     source = data[:, 0].astype(np.intp)
-    if not np.array_equal(source, data[:, 0]):
-        raise ValueError("source_index entries must be integers")
-    W = check_directions(data[:, 1:-1], dataset.dim)
-    rows, norms, kept = _atom_rows(dataset.inputs, W[:, :-1], W[:, -1], 0.0)
+    if not np.array_equal(source, data[:, 0]) or np.unique(source).size != source.size:
+        raise ValueError("source_index entries must be unique integers")
+    raw_norms = data[:, -1]
+    if not np.all(np.isfinite(raw_norms) & (raw_norms > 0.0)):
+        raise ValueError("raw_norm entries must be finite and positive")
+    return DictionaryRows(source, check_directions(data[:, 1:-1], dim), raw_norms)
+
+
+def load_dictionary_csv(rows: DictionaryRows, dataset: Dataset) -> Dictionary:
+    """Dictionary-CSV rows, read at the training set's dimension, with their features rebuilt."""
+    W = rows.directions
+    features, norms, kept = _atom_rows(dataset.inputs, W[:, :-1], W[:, -1], 0.0)
     if kept.size != len(W):
         raise ValueError("dictionary CSV contains atoms dead on this training set")
-    return Dictionary(features=rows.T, raw_norms=norms, directions=W, source_indices=source)
+    return Dictionary(features.T, norms, W, rows.source_indices)

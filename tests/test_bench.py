@@ -261,7 +261,7 @@ def test_pruned_build_peak_memory(monkeypatch):
     features plus the field's chunk temporaries, which it reaches alone."""
     cfg = default_config("ex3", 0, n_test=64, dict_size=5_000, threads=1)
     train_set, directions = bench.make_datasets(cfg)[0], bench.make_directions(cfg)
-    live = sampling.live_rows(train_set, directions, cfg.drop_tol)
+    live, _ = sampling.live_rows(train_set, directions, cfg.drop_tol)
     tracemalloc.start()
     try:
         collapsed_field(train_set, directions[live], cfg.quadrature, threads=cfg.threads)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -9,8 +10,10 @@ import pytest
 from gsn import bench, cli
 from gsn.bench import PipelineError
 from gsn.core import Dataset, load_network
+from gsn.ridgelet import CollapsedField, load_field_csv, prune_dictionary, save_field_csv
 from gsn.sampling import (build_dictionary, load_dataset_csv, load_dictionary_csv,
-                          load_directions_csv, save_dataset_csv)
+                          load_directions_csv, read_dictionary_csv, save_dataset_csv,
+                          save_dictionary_csv)
 
 
 def run_cli(*argv):
@@ -86,8 +89,7 @@ def test_prune_threshold_validation(tmp_path, capsys):
     assert run_cli("dict", "--train", str(out / "train.csv"),
                    "--directions", str(out / "directions.csv"),
                    "--out", str(out / "dictionary.csv")) == 0
-    code = run_cli("prune", "--train", str(out / "train.csv"),
-                   "--dict", str(out / "dictionary.csv"),
+    code = run_cli("prune", "--dict", str(out / "dictionary.csv"),
                    "--field", str(out / "missing.csv"),
                    "--threshold", "1.0", "--out", str(out / "pruned.csv"))
     assert code == 2
@@ -156,7 +158,7 @@ def check_stage_chain_matches_bench(tmp_path, example, epochs, *flags):
         assert run_cli("ridgelet", *cfg, *train_csv,
                        "--directions", str(stage / "directions.csv"),
                        "--out", str(stage / "field.csv")) == 0
-        assert run_cli("prune", *cfg, *train_csv, "--dict", str(dict_path),
+        assert run_cli("prune", *cfg, "--dict", str(dict_path),
                        "--field", str(stage / "field.csv"), "--out", str(stage / "pruned.csv")) == 0
         dict_path = stage / "pruned.csv"
     assert run_cli("greedy", *cfg, *train_csv, "--val", str(stage / "val.csv"),
@@ -170,7 +172,7 @@ def check_stage_chain_matches_bench(tmp_path, example, epochs, *flags):
 
     train_set = load_dataset_csv(stage / "train.csv")
     test_set = load_dataset_csv(stage / "test.csv")
-    assert load_dictionary_csv(dict_path, train_set).n_atoms == results["dictionary_size_after_prune"]
+    assert len(read_dictionary_csv(dict_path).source_indices) == results["dictionary_size_after_prune"]
     nodes_doc = json.loads((stage / "nodes.json").read_text())
     assert nodes_doc["selected_nodes"] == results["selected_nodes"]
     for network, branch in (("network.json", "gsn_init"), ("trained.json", "gsn_trained")):
@@ -212,14 +214,15 @@ call = ["ex3", "--seed", "0", "--epochs", "2", "--restarts", "1", "--threads", "
 assert cli.main(["bench", *call, "--out", out + "/bench"]) == 0
 s = out + "/stage"
 assert cli.main(["sample", *call, "--out", s]) == 0
-c = ["--config", s + "/config.json", "--train", s + "/train.csv"]
-assert cli.main(["dict", *c, "--directions", s + "/directions.csv",
+c = ["--config", s + "/config.json"]
+t = ["--train", s + "/train.csv"]
+assert cli.main(["dict", *c, *t, "--directions", s + "/directions.csv",
                  "--out", s + "/dictionary.csv"]) == 0
-assert cli.main(["ridgelet", *c, "--directions", s + "/directions.csv",
+assert cli.main(["ridgelet", *c, *t, "--directions", s + "/directions.csv",
                  "--out", s + "/field.csv"]) == 0
 assert cli.main(["prune", *c, "--dict", s + "/dictionary.csv", "--field", s + "/field.csv",
                  "--out", s + "/pruned.csv"]) == 0
-assert cli.main(["greedy", *c, "--val", s + "/val.csv", "--dict", s + "/pruned.csv",
+assert cli.main(["greedy", *c, *t, "--val", s + "/val.csv", "--dict", s + "/pruned.csv",
                  "--out", s + "/path.csv", "--nodes-out", s + "/nodes.json"]) == 0
 """
 
@@ -362,23 +365,6 @@ def test_bench_sweep_refuses_dictionary_beyond_memory(tmp_path, capsys, monkeypa
     assert "10000 points x 50000 directions needs 3.73 GiB" in capsys.readouterr().err
 
 
-def test_dict_refuses_dictionary_beyond_memory(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "s"
-    assert run_cli("sample", "ex1", "--seed", "0", "--out", str(out),
-                   "--config", str(write_tiny_config(tmp_path))) == 0
-    monkeypatch.setattr(cli, "available_memory_bytes", lambda: 10_000)
-    def never(*args):
-        raise AssertionError("the dictionary must not be built")
-
-    monkeypatch.setattr(cli.sampling, "build_dictionary", never)
-    code = run_cli("dict", "--train", str(out / "train.csv"),
-                   "--directions", str(out / "directions.csv"),
-                   "--out", str(out / "dictionary.csv"))
-    assert code == 2
-    assert "GiB" in capsys.readouterr().err
-    assert not (out / "dictionary.csv").exists()
-
-
 def test_dict_drop_tol_default_matches_bench(tmp_path):
     # gsn dict drops atoms at the ExperimentConfig default without --config,
     # at the file's drop_tol with one, and at --drop-tol over both
@@ -397,7 +383,7 @@ def test_dict_drop_tol_default_matches_bench(tmp_path):
         assert run_cli("dict", "--train", str(out / "train.csv"), *flags,
                        "--directions", str(out / "directions.csv"),
                        "--out", str(out / "dictionary.csv")) == 0
-        kept = load_dictionary_csv(out / "dictionary.csv", train_set).n_atoms
+        kept = len(read_dictionary_csv(out / "dictionary.csv").source_indices)
         assert kept == build_dictionary(train_set, directions, want).n_atoms
     assert 0 < build_dictionary(train_set, directions, tol).n_atoms < len(directions)
 
@@ -546,23 +532,10 @@ def assert_config_refused(tmp_path, capsys, monkeypatch, example, fields):
     assert not out.exists()
 
 
-def test_bench_memory_check_counts_one_copy(tmp_path, capsys, monkeypatch):
-    # 16 x 150 features take 19,200 bytes: a pruned gsn bench run builds only
-    # the kept atoms, while gsn prune holds the dictionary and its pruned copy
+def test_bench_memory_check_counts_one_copy(tmp_path, monkeypatch):
+    # 16 x 150 features take 19,200 bytes: a pruned gsn bench run builds only the kept atoms
     monkeypatch.setattr(cli, "available_memory_bytes", lambda: 30_000)
     assert run_cli(*bench_args(tmp_path)) == 0
-    out = staged_dictionary(tmp_path)
-    assert run_cli("ridgelet", "--train", str(out / "train.csv"),
-                   "--directions", str(out / "directions.csv"),
-                   "--threads", "1", "--out", str(out / "field.csv")) == 0
-    n_atoms = len((out / "dictionary.csv").read_text().strip().splitlines()) - 1
-    prune = ["prune", "--train", str(out / "train.csv"), "--dict", str(out / "dictionary.csv"),
-             "--field", str(out / "field.csv"), "--out", str(out / "pruned.csv")]
-    monkeypatch.setattr(cli, "available_memory_bytes", lambda: 16 * n_atoms * 8 * 3 // 2)
-    assert run_cli(*prune) == 2
-    assert "with its pruned copy" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "available_memory_bytes", lambda: 16 * n_atoms * 8 * 2)
-    assert run_cli(*prune) == 0
 
 
 def staged_dictionary(tmp_path):
@@ -575,12 +548,8 @@ def staged_dictionary(tmp_path):
     return out
 
 
-@pytest.mark.parametrize("stage", ["prune", "greedy"])
-def test_dictionary_rebuild_refuses_dictionary_beyond_memory(tmp_path, capsys, monkeypatch, stage):
+def test_greedy_refuses_dictionary_beyond_memory(tmp_path, capsys, monkeypatch):
     out = staged_dictionary(tmp_path)
-    assert run_cli("ridgelet", "--train", str(out / "train.csv"),
-                   "--directions", str(out / "directions.csv"),
-                   "--threads", "1", "--out", str(out / "field.csv")) == 0
     n_atoms = len((out / "dictionary.csv").read_text().strip().splitlines()) - 1
 
     def never(*args):
@@ -588,15 +557,98 @@ def test_dictionary_rebuild_refuses_dictionary_beyond_memory(tmp_path, capsys, m
 
     monkeypatch.setattr(cli, "available_memory_bytes", lambda: 10_000)
     monkeypatch.setattr(cli.sampling, "load_dictionary_csv", never)
-    argv = {
-        "prune": ["prune", "--train", str(out / "train.csv"), "--dict", str(out / "dictionary.csv"),
-                  "--field", str(out / "field.csv")],
-        "greedy": ["greedy", "--train", str(out / "train.csv"), "--val", str(out / "val.csv"),
-                   "--dict", str(out / "dictionary.csv"), "--nodes-out", str(out / "nodes.json")],
-    }[stage]
-    assert run_cli(*argv, "--out", str(out / "result.csv")) == 2
+    assert run_cli("greedy", "--train", str(out / "train.csv"), "--val", str(out / "val.csv"),
+                   "--dict", str(out / "dictionary.csv"), "--nodes-out", str(out / "nodes.json"),
+                   "--out", str(out / "result.csv")) == 2
     assert f"16 points x {n_atoms} directions" in capsys.readouterr().err
     assert not (out / "result.csv").exists()
+
+
+def staged_field(out, field):
+    """Write the field CSV of the staged directions and return its path: ``field``
+    "ridgelet" runs gsn ridgelet, "zero" writes every value 0."""
+    path = out / "field.csv"
+    if field == "ridgelet":
+        assert run_cli("ridgelet", "--train", str(out / "train.csv"),
+                       "--directions", str(out / "directions.csv"),
+                       "--threads", "1", "--out", str(path)) == 0
+    else:
+        directions = load_directions_csv(out / "directions.csv", 1)
+        save_field_csv(CollapsedField(directions, np.zeros(len(directions))), path)
+    return path
+
+
+@pytest.mark.parametrize("field", ["ridgelet", "zero"])
+def test_dict_and_prune_match_the_feature_route(tmp_path, field):
+    # gsn dict and gsn prune write rows without features; their files equal those
+    # of the feature route: build_dictionary, then prune_dictionary on the rebuild
+    out = staged_dictionary(tmp_path)
+    train_set = load_dataset_csv(out / "train.csv")
+    directions = load_directions_csv(out / "directions.csv", 1)
+    full = build_dictionary(train_set, directions)
+    assert 0 < full.n_atoms < len(directions)  # dead directions are left out
+    save_dictionary_csv(full, tmp_path / "reference.csv")
+    assert (out / "dictionary.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    values = load_field_csv(staged_field(out, field)).values
+    rebuilt = load_dictionary_csv(read_dictionary_csv(out / "dictionary.csv", 1), train_set)
+    sub = CollapsedField(rebuilt.directions, values[rebuilt.source_indices])
+    threshold = bench.ExperimentConfig.prune_threshold
+    with pytest.warns(RuntimeWarning, match="zero") if field == "zero" else contextlib.nullcontext():
+        save_dictionary_csv(prune_dictionary(rebuilt, sub, threshold), tmp_path / "reference.csv")
+        assert run_cli("prune", "--dict", str(out / "dictionary.csv"),
+                       "--field", str(out / "field.csv"), "--out", str(out / "pruned.csv")) == 0
+    assert (out / "pruned.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    n_kept = len(read_dictionary_csv(out / "pruned.csv").source_indices)
+    assert n_kept == full.n_atoms if field == "zero" else 0 < n_kept < full.n_atoms
+
+
+def test_dict_and_prune_build_no_features(tmp_path, monkeypatch):
+    # neither stage holds a feature matrix, so neither checks memory
+    out = staged_dictionary(tmp_path)
+    staged_field(out, "ridgelet")
+
+    def never(*args):
+        raise AssertionError("no feature may be built")
+
+    monkeypatch.setattr(cli, "available_memory_bytes", lambda: 10_000)
+    for name in ("_atom_rows", "build_dictionary", "load_dictionary_csv"):
+        monkeypatch.setattr(cli.sampling, name, never)
+    assert run_cli("dict", "--train", str(out / "train.csv"),
+                   "--directions", str(out / "directions.csv"),
+                   "--out", str(out / "dictionary.csv")) == 0
+    assert run_cli("prune", "--dict", str(out / "dictionary.csv"), "--field", str(out / "field.csv"),
+                   "--out", str(out / "pruned.csv")) == 0
+    assert 0 < len(read_dictionary_csv(out / "pruned.csv").source_indices) < 150
+
+
+# per fault, (data row index, column index, value) written over the staged dictionary CSV
+DICTIONARY_FAULTS = {
+    "duplicate-source": (1, 0, None),  # row 1 takes row 0's source index
+    "fractional-source": (0, 0, "2.5"),
+    "zero-norm": (2, -1, "0.0"),
+    "negative-norm": (2, -1, "-1.5"),
+    "nan-norm": (2, -1, "nan"),
+    "non-unit": (3, 1, "0.5"),
+}
+
+
+@pytest.mark.parametrize("fault", [*DICTIONARY_FAULTS, "empty"])
+def test_prune_rejects_malformed_dictionary(tmp_path, capsys, fault):
+    out = staged_dictionary(tmp_path)
+    staged_field(out, "zero")
+    header, *rows = [line.split(",") for line in (out / "dictionary.csv").read_text().splitlines()]
+    if fault == "empty":
+        rows = []
+    else:
+        k, col, value = DICTIONARY_FAULTS[fault]
+        rows[k][col] = rows[0][0] if value is None else value
+    bad = tmp_path / "bad_dictionary.csv"
+    bad.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+    assert run_cli("prune", "--dict", str(bad), "--field", str(out / "field.csv"),
+                   "--out", str(out / "pruned.csv")) == 2
+    assert f"malformed dictionary file {bad}" in capsys.readouterr().err
+    assert not (out / "pruned.csv").exists()
 
 
 @pytest.mark.parametrize("other", ["seed", "rows"])
@@ -614,7 +666,7 @@ def test_prune_rejects_field_of_other_directions(tmp_path, capsys, other):
         directions.write_text("\n".join(lines[:11]) + "\n")
     assert run_cli("ridgelet", "--train", str(out / "train.csv"), "--directions", str(directions),
                    "--threads", "1", "--out", str(out / "field.csv")) == 0
-    code = run_cli("prune", "--train", str(out / "train.csv"), "--dict", str(out / "dictionary.csv"),
+    code = run_cli("prune", "--dict", str(out / "dictionary.csv"),
                    "--field", str(out / "field.csv"), "--out", str(out / "pruned.csv"))
     assert code == 2
     assert "field" in capsys.readouterr().err

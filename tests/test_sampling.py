@@ -12,6 +12,7 @@ from gsn.sampling import (
     golden_spiral,
     load_dataset_csv,
     load_dictionary_csv,
+    read_dictionary_csv,
     load_directions_csv,
     sample_circle,
     sample_directions,
@@ -240,7 +241,7 @@ def test_dictionary_csv_round_trip_same_bits(tmp_path):
     dic = build_dictionary(ds, dirs)
     path = tmp_path / "dict.csv"
     save_dictionary_csv(dic, path)
-    back = load_dictionary_csv(path, ds)
+    back = load_dictionary_csv(read_dictionary_csv(path, ds.dim), ds)
     assert np.array_equal(bits(back.features), bits(dic.features))
     assert np.array_equal(bits(back.raw_norms), bits(dic.raw_norms))
     assert np.array_equal(back.source_indices, dic.source_indices)
@@ -256,7 +257,7 @@ def test_load_dictionary_csv_rejects_dead_atoms(tmp_path):
     save_dictionary_csv(build_dictionary(ds, dirs), path)
     far = Dataset(ds.inputs + 100.0, ds.targets, ds.domain_bounds + 100.0)
     with pytest.raises(ValueError, match="dead"):
-        load_dictionary_csv(path, far)
+        load_dictionary_csv(read_dictionary_csv(path, far.dim), far)
 
 
 def test_build_dictionary_peak_memory():
