@@ -603,20 +603,33 @@ def test_dict_and_prune_match_the_feature_route(tmp_path, field):
     assert n_kept == full.n_atoms if field == "zero" else 0 < n_kept < full.n_atoms
 
 
-def test_dict_and_prune_build_no_features(tmp_path, monkeypatch):
-    # neither stage holds a feature matrix, so neither checks memory
-    out = staged_dictionary(tmp_path)
-    staged_field(out, "ridgelet")
-
+def forbid_feature_builds(monkeypatch):
+    """Set the memory reader to 10,000 bytes and make every feature build raise."""
     def never(*args):
         raise AssertionError("no feature may be built")
 
     monkeypatch.setattr(cli, "available_memory_bytes", lambda: 10_000)
     for name in ("_atom_rows", "build_dictionary", "load_dictionary_csv"):
         monkeypatch.setattr(cli.sampling, name, never)
+
+
+def test_dict_builds_no_features(tmp_path, monkeypatch):
+    # gsn dict holds no feature matrix, so it checks no memory
+    out = tmp_path / "s"
+    assert run_cli("sample", "ex1", "--seed", "0", "--out", str(out),
+                   "--config", str(write_tiny_config(tmp_path))) == 0
+    forbid_feature_builds(monkeypatch)
     assert run_cli("dict", "--train", str(out / "train.csv"),
                    "--directions", str(out / "directions.csv"),
                    "--out", str(out / "dictionary.csv")) == 0
+    assert 0 < len(read_dictionary_csv(out / "dictionary.csv").source_indices) <= 150
+
+
+def test_prune_builds_no_features(tmp_path, monkeypatch):
+    # gsn prune filters dictionary rows, so it checks no memory
+    out = staged_dictionary(tmp_path)
+    staged_field(out, "ridgelet")
+    forbid_feature_builds(monkeypatch)
     assert run_cli("prune", "--dict", str(out / "dictionary.csv"), "--field", str(out / "field.csv"),
                    "--out", str(out / "pruned.csv")) == 0
     assert 0 < len(read_dictionary_csv(out / "pruned.csv").source_indices) < 150
