@@ -8,7 +8,6 @@ from the embedded seeds.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from . import greedy, ridgelet, sampling, solve, train
-from .core import Dataset, GsnError, ShallowNetwork, batch_eval, save_network
+from .core import Dataset, GsnError, ShallowNetwork, batch_eval, save_network, write_csv_table
 from .ridgelet import RadialQuadrature
 from .train import TrainConfig
 
@@ -317,15 +316,14 @@ def run_gsn_pipeline(cfg: ExperimentConfig) -> GsnBranch:
     del dictionary  # the rest needs only the path directions: free the features
     if not path.records:
         raise PipelineError("greedy", ValueError("greedy produced an empty path"))
-    n_nodes = cfg.n_nodes if cfg.n_nodes is not None else greedy.select_model(path)
-    n_nodes = min(n_nodes, len(path.records))
+    n_nodes = greedy.select_model(path, cfg.n_nodes)
 
     init_net, _ = _staged(
         "fit", lambda: solve.refit_network(train_set, path_dirs[:n_nodes]), timings)
     init_errors = compute_errors(init_net, test_set)
 
     trained_net, curve = _staged(
-        "train", lambda: train.train(init_net, train_set, val_set, cfg.gsn_train), timings)
+        "train", lambda: train.train(init_net, train_set, cfg.gsn_train), timings)
     trained_errors = compute_errors(trained_net, test_set)
 
     return GsnBranch(
@@ -471,7 +469,7 @@ def node_sweep(cfg: ExperimentConfig, node_counts) -> SweepReport:
         nodes = base.path_directions[:n]
         init_net, _ = solve.refit_network(base.train_set, nodes)
         gsn_init = compute_errors(init_net, base.test_set)
-        trained_net, _ = train.train(init_net, base.train_set, base.val_set, cfg.gsn_train)
+        trained_net, _ = train.train(init_net, base.train_set, cfg.gsn_train)
         gsn_trained = compute_errors(trained_net, base.test_set)
         rnd = run_random_baseline(cfg, n, base.train_set, base.val_set, base.test_set)
         random_timing += rnd.timing
@@ -495,13 +493,11 @@ def load_manifest(path) -> dict:
 
 
 def write_run_artifacts(report: ExperimentReport, out_root) -> str:
-    """Manifest plus every curve and dataset CSV, under <out>/<target>-<hash>/."""
+    """Manifest, networks and curve CSVs, under <out>/<target>-<hash>/. The datasets
+    are not written: `gsn sample --config <run>/manifest.json` regenerates them."""
     run_dir = os.path.join(out_root, f"{report.config.target_id}-{report.config.hash()}")
     os.makedirs(run_dir, exist_ok=True)
     gsn_branch = report.gsn
-    sampling.save_dataset_csv(gsn_branch.train_set, os.path.join(run_dir, "train.csv"))
-    sampling.save_dataset_csv(gsn_branch.val_set, os.path.join(run_dir, "val.csv"))
-    sampling.save_dataset_csv(gsn_branch.test_set, os.path.join(run_dir, "test.csv"))
     greedy.save_path_csv(gsn_branch.path, os.path.join(run_dir, "path.csv"))
     if gsn_branch.field is not None:
         ridgelet.save_field_csv(gsn_branch.field, os.path.join(run_dir, "field.csv"))
@@ -518,16 +514,12 @@ def write_sweep_artifacts(report: SweepReport, out_root) -> str:
     run_dir = os.path.join(out_root, f"{report.config.target_id}-sweep-{report.config.hash()}")
     os.makedirs(run_dir, exist_ok=True)
     greedy.save_path_csv(report.base.path, os.path.join(run_dir, "path.csv"))
-    with open(os.path.join(run_dir, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_nodes", "gsn_init_rel_l2", "gsn_trained_rel_l2",
-                         "random_trained_rel_l2"])
-        for p in report.points:
-            if p.available:
-                writer.writerow([p.n_nodes, repr(p.gsn_init.rel_l2),
-                                 repr(p.gsn_trained.rel_l2), repr(p.random_trained.rel_l2)])
-            else:
-                writer.writerow([p.n_nodes, "", "", ""])
+    branches = ("gsn_init", "gsn_trained", "random_trained")
+    write_csv_table(os.path.join(run_dir, "sweep.csv"),
+                    ["n_nodes"] + [f"{b}_rel_l2" for b in branches],
+                    [[p.n_nodes for p in report.points],
+                     *([getattr(p, b).rel_l2 if p.available else None for p in report.points]
+                       for b in branches)])
     write_json(report.manifest(), os.path.join(run_dir, "manifest.json"))
     return run_dir
 

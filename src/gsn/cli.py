@@ -79,12 +79,15 @@ def _load(loader, path: str, role: str, *args):
 
 def load_experiment_config(path: str | None, target_id: str | None = None,
                            seed: int | None = None) -> tuple[bench.ExperimentConfig, dict]:
-    """The config file (a full or partial manifest 'config' object) laid over the
-    example defaults, and the file's document. A file that sets no thread count
-    gets GSN_THREADS or the CPU count."""
+    """The config file laid over the example defaults, and the config document.
+    The file holds a full or partial manifest 'config' object, or a whole manifest,
+    whose 'config' object is read. A file that sets no thread count gets
+    GSN_THREADS or the CPU count."""
     doc = _load(bench.load_manifest, path, "config") if path else {}
     if not isinstance(doc, dict):
         raise CliError(f"config file {path} must hold a JSON object")
+    if "config" in doc and set(doc) <= {"meta", "config", "results"}:
+        doc = doc["config"]
     try:
         cfg = bench.config_from_dict({"threads": default_threads(), **doc}, target_id, seed)
     except ValueError as exc:
@@ -103,14 +106,18 @@ def _with_flags(obj, args, **options):
 
 
 def build_experiment_config(args) -> tuple[bench.ExperimentConfig, dict]:
-    """The config of `gsn bench`/`gsn sample`: file, then flags. Also returns the
-    document `gsn sample` writes, ``to_dict()`` plus an ex6 sweep's node counts."""
+    """The config of `gsn bench`/`gsn sample`: file, then flags; an ex6 config with
+    n_nodes is refused. Also returns the document `gsn sample` writes,
+    ``to_dict()`` plus an ex6 sweep's node counts."""
     cfg, doc = load_experiment_config(args.config, args.example, args.seed)
     train_flags = {"epochs": "--epochs", "batch_size": "--batch"}
     cfg = replace(cfg, gsn_train=_with_flags(cfg.gsn_train, args, **train_flags),
                   random_train=_with_flags(cfg.random_train, args, **train_flags))
     cfg = _with_flags(cfg, args, n_nodes="--nodes", n_restarts="--restarts", threads="--threads",
                       prune="--no-prune")
+    if cfg.target_id == "ex6" and cfg.n_nodes is not None:
+        raise CliError("ex6 runs a node-count sweep, which takes no n_nodes (--nodes); "
+                       "set its sizes with the config field node_counts")
     resolved = cfg.to_dict()
     if cfg.target_id == "ex6":
         resolved["node_counts"] = doc.get("node_counts", list(bench.EX6_SWEEP_DEFAULT))
@@ -129,9 +136,6 @@ def _stage_config(args, **options) -> bench.ExperimentConfig:
 
 def cmd_bench(args) -> int:
     cfg, doc = build_experiment_config(args)
-    if cfg.target_id == "ex6" and cfg.n_nodes is not None:
-        raise CliError("ex6 runs a node-count sweep, which takes no n_nodes (--nodes); "
-                       "set its sizes with the config field node_counts")
     check_dictionary_fits(cfg.n_train, cfg.dict_size)
     os.makedirs(args.out, exist_ok=True)
     if cfg.target_id == "ex6":
@@ -214,8 +218,7 @@ def cmd_greedy(args) -> int:
     if not path.records:
         raise CliError("greedy selected nothing; increase --max-iter")
     greedy.save_path_csv(path, args.out)
-    n = cfg.n_nodes if cfg.n_nodes is not None else greedy.select_model(path)
-    n = min(n, len(path.records))
+    n = greedy.select_model(path, cfg.n_nodes)
     chosen = path.atom_indices[:n]
     doc = {
         "input_dim": train_set.dim,
@@ -250,7 +253,6 @@ def cmd_fit(args) -> int:
 
 def cmd_train(args) -> int:
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
-    val_set = _load(sampling.load_dataset_csv, args.val, "validation set") if args.val else None
     net0 = _load(load_network, args.network, "network")
     if net0.input_dim != train_set.dim:
         raise CliError(f"network {args.network} has input dimension {net0.input_dim}; "
@@ -263,7 +265,7 @@ def cmd_train(args) -> int:
     cfg = _with_flags(base, args, epochs="--epochs", batch_size="--batch")
     if args.seed is not None:
         cfg = replace(cfg, seed=sampling.substream_seed(args.seed, "shuffle"))
-    net, curve = train.train(net0, train_set, val_set, cfg)
+    net, curve = train.train(net0, train_set, cfg)
     save_network(net, args.out)
     if args.loss_out:
         train.save_loss_csv(curve, args.loss_out)
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Greedy shallow ReLU network construction and benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    config_help = "JSON config: a full or partial manifest 'config' object"
+    config_help = "JSON config: a full or partial manifest 'config' object, or a whole manifest"
     for name, fn, text in (("bench", cmd_bench, "run a full benchmark (pipeline + baseline)"),
                            ("sample", cmd_sample, "write config.json, datasets and directions")):
         p = sub.add_parser(name, help=text)
@@ -360,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
               [("--epochs", "epochs", int), ("--batch", "batch_size", int)], "gsn_train.")
     p.add_argument("--seed", type=int, default=None,
                    help="master seed of the shuffle seed (default: the config's gsn_train.seed)")
-    p.add_argument("--val", default=None)
     p.add_argument("--loss-out", default=None)
 
     p = sub.add_parser("report", help="summarize a run directory's manifest")

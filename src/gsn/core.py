@@ -246,18 +246,38 @@ def batch_eval(net: ShallowNetwork, inputs) -> np.ndarray:
     return out
 
 
-def read_csv_table(fh) -> tuple[list, np.ndarray]:
-    """Header and float rows of a CSV artifact; every row must match the header's width."""
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if not header:
-        raise ValueError("missing CSV header")
-    rows = [row for row in reader if row]
+def write_csv_table(path, header, columns, comment: str | None = None) -> None:
+    """The CSV artifact format: an optional leading ``# comment`` line, the
+    header, then one row per entry of the equal-length ``columns``. A cell is
+    the ``repr`` of its ``tolist()`` value, so floats round-trip bit for bit;
+    ``None`` is an empty cell."""
+    values = [np.asarray(col).tolist() for col in columns]
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["" if v is None else repr(v) for v in row] for row in zip(*values))
+
+
+def read_csv_table(path) -> tuple[str | None, np.ndarray]:
+    """The leading ``#`` comment (None without one) and the float rows of a CSV
+    artifact; every row must match the header's width."""
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        comment = first[1:].strip() if first.startswith("#") else None
+        if comment is None:
+            fh.seek(0)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise ValueError("missing CSV header")
+        rows = [row for row in reader if row]
     for k, row in enumerate(rows):
         if len(row) != len(header):
             raise ValueError(f"data row {k} has {len(row)} columns; the header has {len(header)}")
     data = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
-    return header, data.reshape(len(rows), len(header))
+    return comment, data.reshape(len(rows), len(header))
 
 
 def directions_from_json(entries, dim: int) -> np.ndarray:

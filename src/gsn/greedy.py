@@ -24,12 +24,11 @@ R^-1 Q^T f, with G_sel = Q R.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Dictionary, GsnError
+from .core import Dataset, Dictionary, GsnError, write_csv_table
 
 SPAN_TOL = 1e-10          # atom counts as inside the span below this deficit
 RESIDUAL_REL_TOL = 1e-12  # stop once ||f_m|| <= this times ||f||
@@ -232,18 +231,17 @@ def oga_run(dictionary: Dictionary, dataset_train: Dataset, dataset_val: Dataset
     return GreedyPath(tuple(records), termination)
 
 
-def select_model(path: GreedyPath) -> int:
-    """Node count minimizing validation error; ties go to the smaller model."""
+def select_model(path: GreedyPath, n_nodes: int | None = None) -> int:
+    """The node count: ``n_nodes`` if given, else the count minimizing validation
+    error (ties go to the smaller model); never more than the path holds."""
     if not path.records:
         raise ValueError("cannot select a model from an empty path")
-    errs = path.validation_errors
-    return path.records[int(np.argmin(errs))].iteration
+    if n_nodes is None:
+        n_nodes = path.records[int(np.argmin(path.validation_errors))].iteration
+    return min(n_nodes, len(path.records))
 
 
 def save_path_csv(path: GreedyPath, out_path) -> None:
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "atom_index", "residual_norm", "validation_error"])
-        for rec in path.records:
-            writer.writerow([rec.iteration, rec.atom_index,
-                             repr(rec.residual_norm), repr(rec.validation_error)])
+    write_csv_table(out_path, ["m", "atom_index", "residual_norm", "validation_error"],
+                    [[r.iteration for r in path.records], path.atom_indices, path.residual_norms,
+                     path.validation_errors])

@@ -37,7 +37,6 @@ result is within 1e-15 relative for d = 2 ... 8.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -45,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_BUDGET, Dataset, Dictionary, check_directions, preactivations, read_csv_table
+from .core import (BLOCK_BUDGET, Dataset, Dictionary, check_directions, preactivations,
+                   read_csv_table, write_csv_table)
 
 
 def tau(z, dimension: int = 1):
@@ -233,14 +233,10 @@ def prune_dictionary(dictionary: Dictionary, fld: CollapsedField,
 def save_field_csv(fld: CollapsedField, path) -> None:
     """Direction coordinates then value, one row per direction."""
     d = fld.directions.shape[1] - 1
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"a{i+1}" for i in range(d)] + ["b", "value"])
-        for row, val in zip(fld.directions.tolist(), fld.values.tolist()):
-            writer.writerow([repr(v) for v in row] + [repr(val)])
+    write_csv_table(path, [f"a{i+1}" for i in range(d)] + ["b", "value"],
+                    [*fld.directions.T, fld.values])
 
 
 def load_field_csv(path) -> CollapsedField:
-    with open(path, newline="") as fh:
-        _, data = read_csv_table(fh)
+    _, data = read_csv_table(path)
     return CollapsedField(data[:, :-1], data[:, -1])

@@ -11,14 +11,14 @@ shuffle draws are independent and individually reproducible across runs.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import namedtuple
 
 import numpy as np
 
-from .core import BLOCK_BUDGET, Dataset, Dictionary, check_directions, preactivations, read_csv_table
+from .core import (BLOCK_BUDGET, Dataset, Dictionary, check_directions, preactivations,
+                   read_csv_table, write_csv_table)
 
 # Fixed purpose -> sub-stream index table. Changing it changes every seeded
 # output, so it is part of the on-disk format.
@@ -216,44 +216,30 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
     The domain box rides along in a leading comment line so a round trip
     preserves the exact bounds (and with them integration weights).
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# domain_bounds={json.dumps(dataset.domain_bounds.tolist())}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i+1}" for i in range(dataset.dim)] + ["f"])
-        for row, y in zip(dataset.inputs, dataset.targets):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(y))])
+    write_csv_table(path, [f"x{i+1}" for i in range(dataset.dim)] + ["f"],
+                    [*dataset.inputs.T, dataset.targets],
+                    comment=f"domain_bounds={json.dumps(dataset.domain_bounds.tolist())}")
 
 
 def load_dataset_csv(path) -> Dataset:
-    bounds = None
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            _, _, payload = first.partition("=")
-            bounds = np.asarray(json.loads(payload), dtype=np.float64)
-        else:
-            fh.seek(0)
-        _, data = read_csv_table(fh)
+    comment, data = read_csv_table(path)
     inputs, targets = data[:, :-1], data[:, -1]
-    if bounds is None:
+    if comment is None:
         bounds = np.stack([inputs.min(axis=0), inputs.max(axis=0)], axis=1)
+    else:
+        bounds = np.asarray(json.loads(comment.partition("=")[2]), dtype=np.float64)
     return Dataset(inputs, targets, bounds)
 
 
 def save_directions_csv(directions, path) -> None:
     """One row a1..ad,b per direction: the in-memory (M, d+1) layout."""
     W = check_directions(directions)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"a{i+1}" for i in range(W.shape[1] - 1)] + ["b"])
-        writer.writerows([repr(v) for v in row] for row in W.tolist())
+    write_csv_table(path, [f"a{i+1}" for i in range(W.shape[1] - 1)] + ["b"], W.T)
 
 
 def load_directions_csv(path, dim: int) -> np.ndarray:
     """Validated (M, dim+1) direction array."""
-    with open(path, newline="") as fh:
-        _, data = read_csv_table(fh)
-    return check_directions(data, dim)
+    return check_directions(read_csv_table(path)[1], dim)
 
 
 # the rows of a dictionary CSV: one atom each, without its features
@@ -264,19 +250,14 @@ def save_dictionary_csv(rows, path) -> None:
     """One row per atom of ``rows`` (DictionaryRows, or a Dictionary): source
     index, direction coordinates, raw norm."""
     d = rows.directions.shape[1] - 1
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source_index"] + [f"a{i+1}" for i in range(d)] + ["b", "raw_norm"])
-        for src, row, norm in zip(rows.source_indices.tolist(), rows.directions.tolist(),
-                                  rows.raw_norms.tolist()):
-            writer.writerow([src] + [repr(v) for v in row] + [repr(norm)])
+    write_csv_table(path, ["source_index"] + [f"a{i+1}" for i in range(d)] + ["b", "raw_norm"],
+                    [rows.source_indices, *rows.directions.T, rows.raw_norms])
 
 
 def read_dictionary_csv(path, dim: int | None = None) -> DictionaryRows:
     """Validated rows of a dictionary CSV: unique integer source indices, unit directions
     (with ``dim`` input coordinates, if given) and finite positive raw norms."""
-    with open(path, newline="") as fh:
-        _, data = read_csv_table(fh)
+    _, data = read_csv_table(path)
     if not len(data):
         raise ValueError("no atom rows")
     source = data[:, 0].astype(np.intp)

@@ -15,13 +15,12 @@ deviation INIT_STDDEV, truncated at INIT_TRUNCATION of them.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, ShallowNetwork, batch_eval, rescale_node
+from .core import Dataset, ShallowNetwork, batch_eval, rescale_node, write_csv_table
 from .sampling import substream
 
 ADAM_BETA1 = 0.9
@@ -179,13 +178,11 @@ def train_params(params: NetParams, train_set: Dataset, cfg: TrainConfig) -> tup
     return NetParams(A.copy(), b.copy(), c.copy()), curve
 
 
-def train(net0: ShallowNetwork, train_set: Dataset, val_set: Dataset | None,
+def train(net0: ShallowNetwork, train_set: Dataset,
           cfg: TrainConfig) -> tuple[ShallowNetwork, np.ndarray]:
     """Fine-tune a network; returns the final network and the loss curve."""
     if net0.input_dim != train_set.dim:
         raise ValueError("network and training set dimensions differ")
-    if val_set is not None and val_set.dim != train_set.dim:
-        raise ValueError("validation set dimension differs from training set")
     if cfg.epochs == 0 or net0.n_nodes == 0:
         return net0, np.zeros(0)
     params, curve = train_params(params_from_network(net0), train_set, cfg)
@@ -244,6 +241,4 @@ def multi_restart(n_nodes: int, train_set: Dataset, val_set: Dataset | None,
 
 
 def save_loss_csv(curve: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([["epoch", "train_loss"],
-                                  *([epoch, repr(float(value))] for epoch, value in enumerate(curve))])
+    write_csv_table(path, ["epoch", "train_loss"], [np.arange(len(curve)), curve])

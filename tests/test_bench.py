@@ -320,7 +320,7 @@ def test_manifest_determinism(tmp_path):
     d1 = write_run_artifacts(r1, tmp_path / "a")
     d2 = write_run_artifacts(r2, tmp_path / "b")
     import pathlib
-    for name in ("path.csv", "gsn_loss.csv", "train.csv", "gsn_init_network.json"):
+    for name in ("path.csv", "gsn_loss.csv", "field.csv", "gsn_init_network.json"):
         assert (pathlib.Path(d1) / name).read_bytes() == (pathlib.Path(d2) / name).read_bytes()
 
 
@@ -348,10 +348,8 @@ def test_artifacts_written(tmp_path):
     report = run_experiment(tiny_config())
     run_dir = write_run_artifacts(report, tmp_path)
     names = {p.name for p in (tmp_path / run_dir.split("/")[-1]).iterdir()}
-    expected = {"manifest.json", "train.csv", "val.csv", "test.csv", "path.csv",
-                "field.csv", "gsn_loss.csv", "random_loss_best.csv",
-                "gsn_init_network.json", "gsn_trained_network.json",
-                "random_best_network.json"}
-    assert expected <= names
+    expected = {"manifest.json", "path.csv", "field.csv", "gsn_loss.csv", "random_loss_best.csv",
+                "gsn_init_network.json", "gsn_trained_network.json", "random_best_network.json"}
+    assert names == expected  # no dataset: gsn sample --config <manifest> regenerates them
     doc = json.loads((tmp_path / run_dir.split("/")[-1] / "manifest.json").read_text())
     assert doc["config"]["target_id"] == "ex1"

@@ -166,8 +166,7 @@ def check_stage_chain_matches_bench(tmp_path, example, epochs, *flags):
                    "--nodes-out", str(stage / "nodes.json")) == 0
     assert run_cli("fit", *train_csv, "--nodes", str(stage / "nodes.json"),
                    "--out", str(stage / "network.json")) == 0
-    assert run_cli("train", *cfg, *train_csv, "--val", str(stage / "val.csv"),
-                   "--network", str(stage / "network.json"),
+    assert run_cli("train", *cfg, *train_csv, "--network", str(stage / "network.json"),
                    "--out", str(stage / "trained.json")) == 0
 
     train_set = load_dataset_csv(stage / "train.csv")
@@ -262,6 +261,29 @@ def test_bench_config_round_trip(tmp_path, source):
     assert bench_dir(tmp_path / "d", "--config", str(cfgp), "--seed", "4") == reseeded != original
 
 
+def test_manifest_restores_datasets_and_reruns_in_place(tmp_path):
+    # a run directory holds no dataset: gsn sample given its manifest writes the
+    # run's own datasets, and gsn bench given it reruns into the same directory
+    doc = json.loads(write_tiny_config(tmp_path).read_text())
+    cfg = bench.config_from_dict({**doc, "target_id": "ex1", "n_restarts": 1, "threads": 1,
+                                  "gsn_train": {"epochs": 2}, "random_train": {"epochs": 2}})
+    report = bench.run_experiment(cfg)
+    runs = tmp_path / "runs"
+    run_dir = runs / os.path.basename(bench.write_run_artifacts(report, runs))
+    assert not {"train.csv", "val.csv", "test.csv"} & {p.name for p in run_dir.iterdir()}
+    manifest = run_dir / "manifest.json"
+    restored = tmp_path / "restored"
+    assert run_cli("sample", "--config", str(manifest), "--out", str(restored)) == 0
+    for name, dataset in (("train", report.gsn.train_set), ("val", report.gsn.val_set),
+                          ("test", report.gsn.test_set)):
+        save_dataset_csv(dataset, tmp_path / f"{name}.csv")
+        assert (restored / f"{name}.csv").read_bytes() == (tmp_path / f"{name}.csv").read_bytes()
+    results = bench.strip_meta(bench.load_manifest(manifest))
+    assert run_cli("bench", "--config", str(manifest), "--out", str(runs)) == 0
+    assert [p.name for p in runs.iterdir()] == [run_dir.name]
+    assert bench.strip_meta(bench.load_manifest(manifest)) == results
+
+
 @pytest.mark.parametrize("extra", [[], ["--no-prune"]])
 def test_config_nonpositive_r_max_exits_2(tmp_path, capsys, extra):
     cfgp = write_tiny_config(tmp_path, quad_r_max=-1)
@@ -298,7 +320,6 @@ def test_train_stage(tmp_path):
             "--nodes", str(stage / "nodes.json"), "--out", str(stage / "net.json"))
     assert run_cli("train", "--network", str(stage / "net.json"),
                    "--train", str(stage / "train.csv"),
-                   "--val", str(stage / "val.csv"),
                    "--epochs", "3", "--seed", "0",
                    "--out", str(stage / "trained.json"),
                    "--loss-out", str(stage / "loss.csv")) == 0
@@ -701,19 +722,18 @@ def test_bench_count_flags_checked_before_any_work(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-def test_bench_ex6_refuses_nodes_flag(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["bench", "sample"])
+def test_bench_ex6_refuses_nodes_flag(tmp_path, capsys, monkeypatch, command):
+    # gsn sample refuses too: the config.json it would write is one gsn bench refuses
     def never(*args):
         raise AssertionError("no work may start on an invalid config")
 
     monkeypatch.setattr(bench, "node_sweep", never)
+    monkeypatch.setattr(bench, "make_datasets", never)
     out = tmp_path / "out"
-    assert run_cli("bench", "ex6", "--nodes", "5", "--out", str(out)) == 2
+    assert run_cli(command, "ex6", "--nodes", "5", "--out", str(out)) == 2
     assert "node_counts" in capsys.readouterr().err
     assert not out.exists()
-    # gsn sample keeps --nodes: gsn greedy reads n_nodes from its config.json
-    assert run_cli("sample", "ex6", "--nodes", "5", "--config", str(write_tiny_config(tmp_path)),
-                   "--out", str(tmp_path / "s")) == 0
-    assert json.loads((tmp_path / "s" / "config.json").read_text())["n_nodes"] == 5
 
 
 @pytest.mark.parametrize("nodes", ["0", "-2"])

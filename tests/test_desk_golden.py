@@ -11,7 +11,8 @@ greedy termination, the greedy path's atom indices), the error floats and
 the SHA-256 of every artifact are compared only where numpy, its SIMD
 extensions, the OpenBLAS build and the live BLAS thread count are the ones
 the file records; elsewhere that comparison is skipped, and the skip names
-the difference.
+the difference. A single run's directory holds no dataset; the hashes of
+its train/val/test CSVs are those `gsn sample` restores from its manifest.
 
 A change that alters these numbers on purpose rewrites the file with
 
@@ -88,6 +89,12 @@ def desk_record(example: str, out: Path) -> dict:
         if path.name == "manifest.json":
             data = json.dumps(manifest, sort_keys=True).encode()
         digests[path.name] = hashlib.sha256(data).hexdigest()
+    if "sweep" not in results:  # a single run's datasets, regenerated from its manifest
+        argv = ["sample", "--config", str(run_dir / "manifest.json"), "--out", str(out / "restored")]
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"gsn {' '.join(argv)} failed")
+        for name in ("train.csv", "val.csv", "test.csv"):
+            digests[name] = hashlib.sha256((out / "restored" / name).read_bytes()).hexdigest()
     return {
         "run_dir": run_dir.name,
         "discrete": discrete,

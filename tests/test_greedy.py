@@ -207,6 +207,9 @@ def test_select_model_rules():
     assert select_model(path_with_vals([5.0, 4.0, 3.0, 2.0])) == 4
     assert select_model(path_with_vals([9, 8, 7, 6, 5, 4, 2.0, 3.0, 3.1])) == 7
     assert select_model(path_with_vals([3.0, 2.0, 1.0, 4.0, 1.0])) == 3
+    # a fixed node count wins over validation, capped at the path length
+    assert select_model(path_with_vals([3.0, 2.0, 1.0, 4.0, 1.0]), 2) == 2
+    assert select_model(path_with_vals([3.0, 2.0, 1.0, 4.0, 1.0]), 9) == 5
 
 
 def test_step_past_max_iter_raises(rng):

@@ -117,7 +117,7 @@ def test_lr_schedule():
 def test_train_zero_epochs_returns_input(rng):
     net = random_network(rng, 3, 1)
     ds = random_batch(rng, 10, 1)
-    out, curve = train(net, ds, None, TrainConfig(epochs=0, batch_size=4))
+    out, curve = train(net, ds, TrainConfig(epochs=0, batch_size=4))
     assert out is net
     assert curve.size == 0
 
@@ -270,8 +270,8 @@ def test_train_determinism(rng):
     net = random_network(rng, 4, 2)
     ds = random_batch(rng, 12, 2)
     cfg = TrainConfig(epochs=40, batch_size=3, seed=11)
-    _, c1 = train(net, ds, None, cfg)
-    _, c2 = train(net, ds, None, cfg)
+    _, c1 = train(net, ds, cfg)
+    _, c2 = train(net, ds, cfg)
     assert np.array_equal(c1, c2)
 
 
