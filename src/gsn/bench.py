@@ -110,8 +110,6 @@ class ErrorSummary:
 
 def compute_errors(net: ShallowNetwork, test_set: Dataset) -> ErrorSummary:
     """Absolute l2, RMSE, and relative l2 error of a network on a test set."""
-    if test_set.n_points == 0:
-        raise ValueError("test set is empty")
     diff = batch_eval(net, test_set.inputs) - test_set.targets
     abs_l2 = float(np.linalg.norm(diff))
     rmse = abs_l2 / math.sqrt(test_set.n_points)
@@ -254,8 +252,8 @@ def make_directions(cfg: ExperimentConfig) -> np.ndarray:
 
 
 @dataclass
-class GsnBranch:
-    """Everything produced by the greedy pipeline for one config."""
+class Construction:
+    """The greedy pipeline's output for one config, which every node count shares."""
 
     train_set: Dataset
     val_set: Dataset
@@ -265,30 +263,22 @@ class GsnBranch:
     prune_degenerate: bool
     path: greedy.GreedyPath
     path_directions: np.ndarray     # (len(path), d+1): row per path record, selection order
-    selected_nodes: int
-    init_net: ShallowNetwork
-    init_errors: ErrorSummary
-    trained_net: ShallowNetwork
-    trained_errors: ErrorSummary
-    loss_curve: np.ndarray
     field: ridgelet.CollapsedField | None
-    timings: dict
+    timings: dict                   # seconds per stage, summed over repeats
 
 
 def _staged(stage: str, fn, timings: dict):
     t0 = time.perf_counter()
     try:
         out = fn()
-    except GsnError as exc:
+    except (GsnError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         raise PipelineError(stage, exc) from exc
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        raise PipelineError(stage, exc) from exc
-    timings[stage] = time.perf_counter() - t0
+    timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t0
     return out
 
 
-def run_gsn_pipeline(cfg: ExperimentConfig) -> GsnBranch:
-    """Sampling -> dictionary -> optional pruning -> greedy -> fit -> train."""
+def run_gsn_pipeline(cfg: ExperimentConfig) -> Construction:
+    """Sampling -> dictionary -> optional pruning -> greedy."""
     timings: dict = {}
     train_set, val_set, test_set = _staged(
         "sample", lambda: make_datasets(cfg), timings)
@@ -315,136 +305,101 @@ def run_gsn_pipeline(cfg: ExperimentConfig) -> GsnBranch:
     path_dirs = dictionary.directions[path.atom_indices]
     del dictionary  # the rest needs only the path directions: free the features
     if not path.records:
-        raise PipelineError("greedy", ValueError("greedy produced an empty path"))
-    n_nodes = greedy.select_model(path, cfg.n_nodes)
-
-    init_net, _ = _staged(
-        "fit", lambda: solve.refit_network(train_set, path_dirs[:n_nodes]), timings)
-    init_errors = compute_errors(init_net, test_set)
-
-    trained_net, curve = _staged(
-        "train", lambda: train.train(init_net, train_set, cfg.gsn_train), timings)
-    trained_errors = compute_errors(trained_net, test_set)
-
-    return GsnBranch(
+        raise PipelineError("greedy", greedy.EmptyPathError(path))
+    return Construction(
         train_set=train_set, val_set=val_set, test_set=test_set,
         dictionary_size_before=size_before, dictionary_size_after=size_after,
-        prune_degenerate=degenerate,
-        path=path, path_directions=path_dirs,
-        selected_nodes=n_nodes,
-        init_net=init_net, init_errors=init_errors,
-        trained_net=trained_net, trained_errors=trained_errors,
-        loss_curve=curve, field=fld, timings=timings,
+        prune_degenerate=degenerate, path=path, path_directions=path_dirs,
+        field=fld, timings=timings,
     )
 
 
 @dataclass
-class RandomBranch:
-    best_net: ShallowNetwork
-    best_errors: ErrorSummary
-    restarts: list
+class SizeRun:
+    """Both branches at one node count: the greedy-initialised network, fitted and
+    then trained, and the best of the random-init restarts."""
+
+    n_nodes: int
+    init_net: ShallowNetwork
+    trained_net: ShallowNetwork
     loss_curve: np.ndarray
-    timing: float
+    random_net: ShallowNetwork
+    random_restarts: list
+    random_loss_curve: np.ndarray
+    gsn_init: ErrorSummary
+    gsn_trained: ErrorSummary
+    random_trained: ErrorSummary
+
+    def errors(self) -> dict:
+        return {"gsn_init": self.gsn_init.as_dict(), "gsn_trained": self.gsn_trained.as_dict(),
+                "random_trained": self.random_trained.as_dict()}
 
 
-def run_random_baseline(cfg: ExperimentConfig, n_nodes: int,
-                        train_set: Dataset, val_set: Dataset, test_set: Dataset) -> RandomBranch:
-    """Best-of-n truncated-normal baseline at the same node count."""
-    t0 = time.perf_counter()
-    try:
-        best, records, curve = train.multi_restart(
-            n_nodes, train_set, val_set, test_set, cfg.random_train,
-            sampling.substream_seed(cfg.seed, "init"), cfg.n_restarts)
-    except (GsnError, ValueError) as exc:
-        raise PipelineError("baseline", exc) from exc
-    return RandomBranch(
-        best_net=best,
-        best_errors=compute_errors(best, test_set),
-        restarts=records,
-        loss_curve=curve,
-        timing=time.perf_counter() - t0,
-    )
+def run_size(cfg: ExperimentConfig, base: Construction, n: int) -> SizeRun:
+    """Fit the outer weights of the first ``n`` path directions, train them, and train
+    the random-init baseline at ``n`` nodes; the stage times add to ``base.timings``."""
+    t = base.timings
+    init_net, _ = _staged(
+        "fit", lambda: solve.refit_network(base.train_set, base.path_directions[:n]), t)
+    trained_net, curve = _staged(
+        "train", lambda: train.train(init_net, base.train_set, cfg.gsn_train), t)
+    random_net, restarts, random_curve = _staged("baseline", lambda: train.multi_restart(
+        n, base.train_set, base.val_set, base.test_set, cfg.random_train,
+        sampling.substream_seed(cfg.seed, "init"), cfg.n_restarts), t)
+    return SizeRun(n, init_net, trained_net, curve, random_net, restarts, random_curve,
+                   *(compute_errors(net, base.test_set) for net in (init_net, trained_net, random_net)))
 
 
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
-    gsn: GsnBranch
-    random: RandomBranch
+    base: Construction
+    run: SizeRun
 
     def manifest(self) -> dict:
         """Deterministic results document; volatile data stays under 'meta'."""
         return {
-            "meta": _meta(self.gsn.timings, self.random.timing),
+            "meta": _meta(self.base.timings),
             "config": self.config.to_dict(),
             "results": {
-                "dictionary_size_before_prune": self.gsn.dictionary_size_before,
-                "dictionary_size_after_prune": self.gsn.dictionary_size_after,
-                "prune_degenerate": self.gsn.prune_degenerate,
-                "selected_nodes": self.gsn.selected_nodes,
-                "greedy_termination": self.gsn.path.termination,
-                "errors": {
-                    "gsn_init": self.gsn.init_errors.as_dict(),
-                    "gsn_trained": self.gsn.trained_errors.as_dict(),
-                    "random_trained": self.random.best_errors.as_dict(),
-                },
-                "random_restarts": _restart_rows(self.random.restarts),
+                "dictionary_size_before_prune": self.base.dictionary_size_before,
+                "dictionary_size_after_prune": self.base.dictionary_size_after,
+                "prune_degenerate": self.base.prune_degenerate,
+                "selected_nodes": self.run.n_nodes,
+                "greedy_termination": self.base.path.termination,
+                "errors": self.run.errors(),
+                "random_restarts": [
+                    {"restart": r.restart, "init_seed": r.init_seed,
+                     "test_rmse": r.test_error, "final_train_loss": r.final_train_loss}
+                    for r in self.run.random_restarts],
             },
         }
 
 
-def _meta(gsn_timings: dict, random_timing: float) -> dict:
+def _meta(timings: dict) -> dict:
     return {
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "timings_sec": {**{f"gsn.{k}": round(v, 6) for k, v in gsn_timings.items()},
-                        "random.total": round(random_timing, 6)},
+        "timings_sec": {k: round(v, 6) for k, v in timings.items()},
     }
 
 
-def _restart_rows(records) -> list:
-    return [
-        {"restart": r.restart, "init_seed": r.init_seed,
-         "test_rmse": r.test_error, "final_train_loss": r.final_train_loss}
-        for r in records
-    ]
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    gsn_branch = run_gsn_pipeline(cfg)
-    random_branch = run_random_baseline(
-        cfg, gsn_branch.selected_nodes,
-        gsn_branch.train_set, gsn_branch.val_set, gsn_branch.test_set)
-    return ExperimentReport(cfg, gsn_branch, random_branch)
-
-
-@dataclass
-class SweepPoint:
-    n_nodes: int
-    available: bool
-    gsn_init: ErrorSummary | None = None
-    gsn_trained: ErrorSummary | None = None
-    random_trained: ErrorSummary | None = None
+    base = run_gsn_pipeline(cfg)
+    return ExperimentReport(cfg, base, run_size(cfg, base, greedy.select_model(base.path, cfg.n_nodes)))
 
 
 @dataclass
 class SweepReport:
     config: ExperimentConfig
     node_counts: tuple
-    points: list
-    base: GsnBranch
-    random_timing: float  # summed over the sweep points' baselines
+    runs: list              # SizeRun per node count, None past the path's length
+    base: Construction
 
     def manifest(self) -> dict:
-        rows = []
-        for p in self.points:
-            row = {"n_nodes": p.n_nodes, "available": p.available}
-            if p.available:
-                row["gsn_init"] = p.gsn_init.as_dict()
-                row["gsn_trained"] = p.gsn_trained.as_dict()
-                row["random_trained"] = p.random_trained.as_dict()
-            rows.append(row)
+        rows = [{"n_nodes": n, "available": run is not None, **(run.errors() if run else {})}
+                for n, run in zip(self.node_counts, self.runs)]
         return {
-            "meta": _meta(self.base.timings, self.random_timing),
+            "meta": _meta(self.base.timings),
             "config": {**self.config.to_dict(), "node_counts": list(self.node_counts)},
             "results": {
                 "dictionary_size_before_prune": self.base.dictionary_size_before,
@@ -459,22 +414,9 @@ def node_sweep(cfg: ExperimentConfig, node_counts) -> SweepReport:
     """Truncate one greedy path at each size and train both branches there."""
     node_counts = tuple(int(n) for n in node_counts)
     cfg = replace(cfg, max_iter=max(cfg.max_iter, max(node_counts)))  # hashed and recorded as run
-    base = run_gsn_pipeline(replace(cfg, n_nodes=None, gsn_train=replace(cfg.gsn_train, epochs=0)))
-    points = []
-    random_timing = 0.0
-    for n in node_counts:
-        if n > len(base.path.records):
-            points.append(SweepPoint(n, available=False))
-            continue
-        nodes = base.path_directions[:n]
-        init_net, _ = solve.refit_network(base.train_set, nodes)
-        gsn_init = compute_errors(init_net, base.test_set)
-        trained_net, _ = train.train(init_net, base.train_set, cfg.gsn_train)
-        gsn_trained = compute_errors(trained_net, base.test_set)
-        rnd = run_random_baseline(cfg, n, base.train_set, base.val_set, base.test_set)
-        random_timing += rnd.timing
-        points.append(SweepPoint(n, True, gsn_init, gsn_trained, rnd.best_errors))
-    return SweepReport(cfg, node_counts, points, base, random_timing)
+    base = run_gsn_pipeline(cfg)
+    runs = [run_size(cfg, base, n) if n <= len(base.path) else None for n in node_counts]
+    return SweepReport(cfg, node_counts, runs, base)
 
 
 # --- artifact writing ---------------------------------------------------
@@ -497,15 +439,15 @@ def write_run_artifacts(report: ExperimentReport, out_root) -> str:
     are not written: `gsn sample --config <run>/manifest.json` regenerates them."""
     run_dir = os.path.join(out_root, f"{report.config.target_id}-{report.config.hash()}")
     os.makedirs(run_dir, exist_ok=True)
-    gsn_branch = report.gsn
-    greedy.save_path_csv(gsn_branch.path, os.path.join(run_dir, "path.csv"))
-    if gsn_branch.field is not None:
-        ridgelet.save_field_csv(gsn_branch.field, os.path.join(run_dir, "field.csv"))
-    train.save_loss_csv(gsn_branch.loss_curve, os.path.join(run_dir, "gsn_loss.csv"))
-    train.save_loss_csv(report.random.loss_curve, os.path.join(run_dir, "random_loss_best.csv"))
-    save_network(gsn_branch.init_net, os.path.join(run_dir, "gsn_init_network.json"))
-    save_network(gsn_branch.trained_net, os.path.join(run_dir, "gsn_trained_network.json"))
-    save_network(report.random.best_net, os.path.join(run_dir, "random_best_network.json"))
+    base, run = report.base, report.run
+    greedy.save_path_csv(base.path, os.path.join(run_dir, "path.csv"))
+    if base.field is not None:
+        ridgelet.save_field_csv(base.field, os.path.join(run_dir, "field.csv"))
+    train.save_loss_csv(run.loss_curve, os.path.join(run_dir, "gsn_loss.csv"))
+    train.save_loss_csv(run.random_loss_curve, os.path.join(run_dir, "random_loss_best.csv"))
+    save_network(run.init_net, os.path.join(run_dir, "gsn_init_network.json"))
+    save_network(run.trained_net, os.path.join(run_dir, "gsn_trained_network.json"))
+    save_network(run.random_net, os.path.join(run_dir, "random_best_network.json"))
     write_json(report.manifest(), os.path.join(run_dir, "manifest.json"))
     return run_dir
 
@@ -517,8 +459,8 @@ def write_sweep_artifacts(report: SweepReport, out_root) -> str:
     branches = ("gsn_init", "gsn_trained", "random_trained")
     write_csv_table(os.path.join(run_dir, "sweep.csv"),
                     ["n_nodes"] + [f"{b}_rel_l2" for b in branches],
-                    [[p.n_nodes for p in report.points],
-                     *([getattr(p, b).rel_l2 if p.available else None for p in report.points]
+                    [list(report.node_counts),
+                     *([getattr(run, b).rel_l2 if run else None for run in report.runs]
                        for b in branches)])
     write_json(report.manifest(), os.path.join(run_dir, "manifest.json"))
     return run_dir

@@ -216,7 +216,7 @@ def cmd_greedy(args) -> int:
         raise CliError(f"malformed dictionary file {args.dict}: {exc}") from exc
     path = greedy.oga_run(dictionary, train_set, val_set, cfg.max_iter)
     if not path.records:
-        raise CliError("greedy selected nothing; increase --max-iter")
+        raise PipelineError("greedy", greedy.EmptyPathError(path))
     greedy.save_path_csv(path, args.out)
     n = greedy.select_model(path, cfg.n_nodes)
     chosen = path.atom_indices[:n]

@@ -49,6 +49,13 @@ class DictionaryExhausted(GreedyStop):
     reason = "exhausted"
 
 
+class EmptyPathError(GsnError, ValueError):
+    """Greedy stopped before it selected an atom."""
+
+    def __init__(self, path: GreedyPath):
+        super().__init__(f"greedy selected no atom (termination: {path.termination})")
+
+
 class GreedyInvariantError(GsnError):
     """An internal greedy invariant failed; results are not trustworthy."""
 
@@ -235,7 +242,7 @@ def select_model(path: GreedyPath, n_nodes: int | None = None) -> int:
     """The node count: ``n_nodes`` if given, else the count minimizing validation
     error (ties go to the smaller model); never more than the path holds."""
     if not path.records:
-        raise ValueError("cannot select a model from an empty path")
+        raise EmptyPathError(path)
     if n_nodes is None:
         n_nodes = path.records[int(np.argmin(path.validation_errors))].iteration
     return min(n_nodes, len(path.records))

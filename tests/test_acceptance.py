@@ -88,22 +88,21 @@ EX1_EPOCHLESS = dict(
 def ex1_pruned():
     cfg = default_config("ex1", seed=0, **EX1_EPOCHLESS)
     t0 = time.perf_counter()
-    branch = bench.run_gsn_pipeline(cfg)
-    return branch, time.perf_counter() - t0
+    rep = bench.run_experiment(cfg)
+    return rep, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def ex1_unpruned():
     cfg = default_config("ex1", seed=0, prune=False, **EX1_EPOCHLESS)
-    branch = bench.run_gsn_pipeline(cfg)
-    return branch
+    return bench.run_experiment(cfg)
 
 
 # --- 2: inline residual/orthogonality invariants on a benchmark run ------
 
 def test_criterion_2_inline_invariants(ex1_pruned):
     t0 = time.perf_counter()
-    branch, _ = ex1_pruned
+    rep, _ = ex1_pruned
     # oga_run enforces the invariants inline (GreedyInvariantError otherwise);
     # replay the same selection to expose the state and check them here too
     cfg = default_config("ex1", seed=0, **EX1_EPOCHLESS)
@@ -126,7 +125,7 @@ def test_criterion_2_inline_invariants(ex1_pruned):
         prev = state.residual_norm
         Q = state.ortho_basis[:, :state.n_selected]
         worst_overlap = max(worst_overlap, np.abs(Q.T @ state.residual).max())
-    path_monotone = bool(np.all(np.diff(branch.path.residual_norms) <= 0))
+    path_monotone = bool(np.all(np.diff(rep.base.path.residual_norms) <= 0))
     ok = monotone and path_monotone and worst_overlap <= 1e-10 * fnorm
     report(2, ok, time.perf_counter() - t0,
            f"max |<f_m, q_j>| = {worst_overlap:.2e} vs bound {1e-10 * fnorm:.2e}")
@@ -225,13 +224,13 @@ def test_criterion_5_tau_kernel():
 # --- 6: Example 1 desk-scale reproduction ---------------------------------
 
 def test_criterion_6_example1_band(ex1_pruned):
-    branch, elapsed = ex1_pruned
-    n = branch.selected_nodes
-    rel = branch.init_errors.rel_l2
+    rep, elapsed = ex1_pruned
+    n = rep.run.n_nodes
+    rel = rep.run.gsn_init.rel_l2
     ok = (15 <= n <= 40) and rel <= 5e-2 and elapsed <= 120.0
     report(6, ok, elapsed,
            f"selected N = {n} (band [15, 40]), init rel_l2 = {rel:.3e} (<= 5e-2), "
-           f"dictionary {branch.dictionary_size_before} -> {branch.dictionary_size_after}")
+           f"dictionary {rep.base.dictionary_size_before} -> {rep.base.dictionary_size_after}")
 
 
 # --- 7: Example 2 separation ----------------------------------------------
@@ -242,8 +241,8 @@ def _ex2_separation(epochs):
                   gsn_train=replace(cfg.gsn_train, epochs=epochs),
                   random_train=replace(cfg.random_train, epochs=epochs))
     rep = bench.run_experiment(cfg)
-    gsn_err = rep.gsn.trained_errors.rel_l2
-    rnd_err = rep.random.best_errors.rel_l2
+    gsn_err = rep.run.gsn_trained.rel_l2
+    rnd_err = rep.run.random_trained.rel_l2
     return rnd_err / gsn_err, gsn_err, rnd_err
 
 
@@ -270,9 +269,9 @@ def test_criterion_7_example2_separation_full():
 def test_criterion_8_pruning_efficacy_ex1(ex1_pruned, ex1_unpruned):
     t0 = time.perf_counter()
     pruned, _ = ex1_pruned
-    removed = 1.0 - pruned.dictionary_size_after / pruned.dictionary_size_before
-    rel_p = pruned.init_errors.rel_l2
-    rel_u = ex1_unpruned.init_errors.rel_l2
+    removed = 1.0 - pruned.base.dictionary_size_after / pruned.base.dictionary_size_before
+    rel_p = pruned.run.gsn_init.rel_l2
+    rel_u = ex1_unpruned.run.gsn_init.rel_l2
     change = abs(rel_p - rel_u) / rel_u
     ok = removed >= 0.30 and change <= 0.10
     report(8, ok, time.perf_counter() - t0,
@@ -336,11 +335,11 @@ def test_criterion_10_example6_sweep():
                                   "gsn_train": {**doc["gsn_train"], "epochs": 2000},
                                   "random_train": {**doc["random_train"], "epochs": 2000}})
     sweep = bench.node_sweep(cfg, (10, 20, 40, 80, 160))
-    assert all(p.available for p in sweep.points)
-    wins = sum(p.gsn_trained.rel_l2 <= p.random_trained.rel_l2 for p in sweep.points)
+    assert None not in sweep.runs
+    wins = sum(r.gsn_trained.rel_l2 <= r.random_trained.rel_l2 for r in sweep.runs)
     elapsed = time.perf_counter() - t0
     ok = wins >= 4 and elapsed <= 1200.0
     detail = ", ".join(
-        f"N={p.n_nodes}: {p.gsn_trained.rel_l2:.2e}|{p.random_trained.rel_l2:.2e}"
-        for p in sweep.points)
+        f"N={r.n_nodes}: {r.gsn_trained.rel_l2:.2e}|{r.random_trained.rel_l2:.2e}"
+        for r in sweep.runs)
     report(10, ok, elapsed, f"gsn wins {wins}/5 [{detail}]")

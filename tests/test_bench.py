@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -18,7 +19,7 @@ from gsn.bench import (
     node_sweep,
     run_experiment,
     run_gsn_pipeline,
-    run_random_baseline,
+    run_size,
     strip_meta,
     target_registry,
     write_run_artifacts,
@@ -125,10 +126,10 @@ def test_pipeline_degenerate_smoke():
                       random_train=TrainConfig(epochs=2, batch_size=1, seed=0),
                       n_restarts=1)
     report = run_experiment(cfg)
-    assert report.gsn.selected_nodes == 1
-    assert report.gsn.trained_net.n_nodes >= 1
-    assert np.isfinite(report.gsn.trained_errors.rel_l2)
-    assert len(report.random.restarts) == 1
+    assert report.run.n_nodes == 1
+    assert report.run.trained_net.n_nodes >= 1
+    assert np.isfinite(report.run.gsn_trained.rel_l2)
+    assert len(report.run.random_restarts) == 1
 
 
 def test_pipeline_records_both_error_sets():
@@ -139,51 +140,48 @@ def test_pipeline_records_both_error_sets():
         assert np.isfinite(errs[key]["rel_l2"])
         assert errs[key]["abs_l2"] >= 0.0
     assert len(m["results"]["random_restarts"]) == report.config.n_restarts
-    assert m["results"]["selected_nodes"] == report.gsn.selected_nodes
+    assert m["results"]["selected_nodes"] == report.run.n_nodes
 
 
 def test_baseline_node_count_matches_selection():
     cfg = tiny_config()
     g = run_gsn_pipeline(cfg)
-    r = run_random_baseline(cfg, g.selected_nodes, g.train_set, g.val_set, g.test_set)
-    assert r.best_net.n_nodes == g.selected_nodes
-    assert len(r.restarts) == cfg.n_restarts
+    n = greedy.select_model(g.path)
+    r = run_size(cfg, g, n)
+    assert r.n_nodes == r.init_net.n_nodes == r.random_net.n_nodes == n
+    assert len(r.random_restarts) == cfg.n_restarts
 
 
 def test_baseline_untrained_error_is_large():
     cfg = tiny_config(random_train=TrainConfig(epochs=0, batch_size=4, seed=1),
                       n_restarts=1)
-    g = run_gsn_pipeline(cfg)
-    r = run_random_baseline(cfg, g.selected_nodes, g.train_set, g.val_set, g.test_set)
-    assert r.best_errors.rel_l2 >= 0.5
+    assert run_experiment(cfg).run.random_trained.rel_l2 >= 0.5
 
 
 def test_node_sweep_lengths_and_singleton():
     cfg = tiny_config(max_iter=8)
     sweep = node_sweep(cfg, [2, 4, 6])
-    assert [p.n_nodes for p in sweep.points] == [2, 4, 6]
-    assert all(p.available for p in sweep.points)
-    single = node_sweep(cfg, [4])
-    fixed = run_gsn_pipeline(replace(cfg, n_nodes=4))
-    assert single.points[0].gsn_init.rel_l2 == pytest.approx(
-        fixed.init_errors.rel_l2, rel=1e-12)
+    assert [run.n_nodes for run in sweep.runs] == [2, 4, 6]
+    # a one-point sweep is a single run at that fixed node count, to the bit
+    (single,) = node_sweep(cfg, [4]).runs
+    fixed = run_experiment(replace(cfg, n_nodes=4)).run
+    for branch in ("gsn_init", "gsn_trained", "random_trained"):
+        assert getattr(single, branch) == getattr(fixed, branch), branch
     # a sweep point beyond the path length is reported unavailable
     over = node_sweep(cfg, [4, 500])
-    assert not over.points[1].available
+    assert over.runs[1] is None
+    assert [row["available"] for row in over.manifest()["results"]["sweep"]] == [True, False]
 
 
 def test_sweep_manifest_sums_baseline_time(monkeypatch):
-    timings = []
-
-    def recorded(*args):
-        branch = run_random_baseline(*args)
-        timings.append(branch.timing)
-        return branch
-
-    monkeypatch.setattr(bench, "run_random_baseline", recorded)
+    # a clock that advances one second per reading: each stage call takes 1 s,
+    # so a stage that runs at each of the two available sizes records 2 s
+    clock = itertools.count()
+    monkeypatch.setattr(bench.time, "perf_counter", lambda: float(next(clock)))
     doc = node_sweep(tiny_config(max_iter=8), [2, 4, 500]).manifest()
-    assert len(timings) == 2
-    assert doc["meta"]["timings_sec"]["random.total"] == round(sum(timings), 6) > 0
+    assert doc["meta"]["timings_sec"] == {
+        "sample": 1.0, "directions": 1.0, "scan": 1.0, "ridgelet": 1.0, "prune": 1.0,
+        "dict": 1.0, "greedy": 1.0, "fit": 2.0, "train": 2.0, "baseline": 2.0}
 
 
 def test_node_sweep_records_the_max_iter_it_ran_with(tmp_path):
@@ -306,7 +304,7 @@ def test_no_dictionary_alive_at_refit(monkeypatch, prune):
     monkeypatch.setattr(sampling, "build_dictionary", recorded_build)
     monkeypatch.setattr(greedy, "oga_run", recorded_oga)
     monkeypatch.setattr(solve, "refit_network", checked_refit)
-    run_gsn_pipeline(tiny_config(prune=prune))
+    run_experiment(tiny_config(prune=prune))
     assert alive == [[False, False]]
 
 
@@ -340,8 +338,8 @@ def test_gsn_training_preserves_init_quality():
     cfg = default_config("ex1", seed=0,
                          random_train=TrainConfig(epochs=0, batch_size=1, seed=0),
                          n_restarts=1)
-    branch = run_gsn_pipeline(cfg)
-    assert branch.trained_errors.rel_l2 <= 1.05 * branch.init_errors.rel_l2
+    run = run_experiment(cfg).run
+    assert run.gsn_trained.rel_l2 <= 1.05 * run.gsn_init.rel_l2
 
 
 def test_artifacts_written(tmp_path):

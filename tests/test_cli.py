@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -112,6 +113,63 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     err = capsys.readouterr().err
     assert "greedy" in err
+
+
+def tiny_run_args(tmp_path, example, **fields):
+    """A gsn bench call of ``example`` on the tiny config, laid over by ``fields``;
+    an ex6 sweep gets 40 training points, as many as its 5 inputs need."""
+    if example == "ex6":
+        fields = {"n_train": 40, **fields}
+    cfgp = write_tiny_config(tmp_path, **fields)
+    return ["bench", example, "--seed", "0", "--epochs", "2", "--restarts", "1", "--threads", "1",
+            "--config", str(cfgp), "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex6"])
+def test_training_overflow_exits_3_naming_the_stage(tmp_path, capsys, example):
+    # a single run and a sweep train through one staged step, so both name it
+    argv = tiny_run_args(tmp_path, example, gsn_train={"initial_lr": 1e300})
+    with np.errstate(all="ignore"):
+        assert run_cli(*argv) == 3
+    assert "numerical failure in stage 'train'" in capsys.readouterr().err
+    assert not any(p.is_dir() for p in (tmp_path / "out").iterdir())
+
+
+def test_sweep_reports_sizes_past_the_path_unavailable(tmp_path, capsys):
+    assert run_cli(*tiny_run_args(tmp_path, "ex6", node_counts=[3, 500])) == 0
+    (run_dir,) = (tmp_path / "out").iterdir()
+    rows = json.loads((run_dir / "manifest.json").read_text())["results"]["sweep"]
+    assert [(r["n_nodes"], r["available"]) for r in rows] == [(3, True), (500, False)]
+    assert set(rows[1]) == {"n_nodes", "available"}
+    lines = (run_dir / "sweep.csv").read_text().splitlines()
+    assert lines[-1] == "500,,,"
+    capsys.readouterr()
+    assert run_cli("report", str(run_dir)) == 0
+    assert re.findall(r"N=\s*(\d+)", capsys.readouterr().out) == ["3"]
+
+
+def zero_targets(dataset):
+    return Dataset(dataset.inputs, np.zeros(dataset.n_points), dataset.domain_bounds)
+
+
+def test_greedy_on_zero_targets_exits_3_naming_the_termination(tmp_path, capsys, monkeypatch):
+    out = staged_dictionary(tmp_path)
+    save_dataset_csv(zero_targets(load_dataset_csv(out / "train.csv")), out / "train.csv")
+    capsys.readouterr()
+    assert run_cli("greedy", "--train", str(out / "train.csv"), "--val", str(out / "val.csv"),
+                   "--dict", str(out / "dictionary.csv"), "--nodes-out", str(out / "nodes.json"),
+                   "--out", str(out / "path.csv")) == 3
+    greedy_err = capsys.readouterr().err
+    assert greedy_err.strip() == ("numerical failure in stage 'greedy': "
+                                  "greedy selected no atom (termination: residual_tol)")
+    assert not (out / "path.csv").exists() and not (out / "nodes.json").exists()
+
+    # gsn bench on the same zero targets fails with the same line
+    datasets = bench.make_datasets
+    monkeypatch.setattr(bench, "make_datasets", lambda cfg: [zero_targets(d) for d in datasets(cfg)])
+    with pytest.warns(RuntimeWarning, match="zero"):
+        assert run_cli(*tiny_run_args(tmp_path, "ex1")) == 3
+    assert capsys.readouterr().err == greedy_err
 
 
 def test_ridgelet_stage_rows(tmp_path):
@@ -274,8 +332,8 @@ def test_manifest_restores_datasets_and_reruns_in_place(tmp_path):
     manifest = run_dir / "manifest.json"
     restored = tmp_path / "restored"
     assert run_cli("sample", "--config", str(manifest), "--out", str(restored)) == 0
-    for name, dataset in (("train", report.gsn.train_set), ("val", report.gsn.val_set),
-                          ("test", report.gsn.test_set)):
+    for name, dataset in (("train", report.base.train_set), ("val", report.base.val_set),
+                          ("test", report.base.test_set)):
         save_dataset_csv(dataset, tmp_path / f"{name}.csv")
         assert (restored / f"{name}.csv").read_bytes() == (tmp_path / f"{name}.csv").read_bytes()
     results = bench.strip_meta(bench.load_manifest(manifest))
