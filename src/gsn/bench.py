@@ -167,10 +167,6 @@ class ExperimentConfig:
         doc["notes"] = list(self.notes)
         return doc
 
-    def hash(self) -> str:
-        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
-
 
 # Per-target default budgets: (n_train, n_val, n_test, gsn_batch, random_batch,
 # max_iter, n_restarts, prune). Dictionary size defaults to 10000 * d.
@@ -283,20 +279,18 @@ def run_gsn_pipeline(cfg: ExperimentConfig) -> Construction:
     train_set, val_set, test_set = _staged(
         "sample", lambda: make_datasets(cfg), timings)
     directions = _staged("directions", lambda: make_directions(cfg), timings)
-    fld, degenerate, kept = None, False, slice(None)
+    fld, degenerate = None, False
     if cfg.prune:
-        # the field needs only the live directions, so the atoms it drops are never built
-        live, _ = _staged("scan", lambda: sampling.live_rows(train_set, directions, cfg.drop_tol), timings)
+        # the field needs only the live rows, so the atoms it drops are never built
+        rows = _staged("scan", lambda: sampling.live_rows(train_set, directions, cfg.drop_tol), timings)
         fld = _staged("ridgelet", lambda: ridgelet.collapsed_field(
-            train_set, directions[live], cfg.quadrature, threads=cfg.threads), timings)
+            train_set, rows.directions, cfg.quadrature, threads=cfg.threads), timings)
         degenerate = bool(np.all(fld.values == 0.0))
-        kept = live[_staged("prune", lambda: ridgelet.keep_rows(fld.values, cfg.prune_threshold),
-                            timings)]
+        keep = _staged("prune", lambda: ridgelet.keep_rows(fld.values, cfg.prune_threshold), timings)
+        directions = rows.directions[keep]
     dictionary = _staged(
-        "dict", lambda: sampling.build_dictionary(train_set, directions[kept], cfg.drop_tol), timings)
-    if cfg.prune:  # source indices into the sampled directions
-        dictionary = replace(dictionary, source_indices=kept[dictionary.source_indices])
-    size_before = live.size if cfg.prune else dictionary.n_atoms
+        "dict", lambda: sampling.build_dictionary(train_set, directions, cfg.drop_tol), timings)
+    size_before = len(rows.directions) if cfg.prune else dictionary.n_atoms
     size_after = dictionary.n_atoms
 
     path = _staged(
@@ -434,10 +428,17 @@ def load_manifest(path) -> dict:
         return json.load(fh)
 
 
+def config_hash(doc: dict) -> str:
+    """12 hex digits of the SHA-256 of a manifest's 'config' object, which names its run directory."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
 def write_run_artifacts(report: ExperimentReport, out_root) -> str:
-    """Manifest, networks and curve CSVs, under <out>/<target>-<hash>/. The datasets
+    """Manifest, networks and curve CSVs, under <out>/<target>-<config hash>/. The datasets
     are not written: `gsn sample --config <run>/manifest.json` regenerates them."""
-    run_dir = os.path.join(out_root, f"{report.config.target_id}-{report.config.hash()}")
+    manifest = report.manifest()
+    run_dir = os.path.join(out_root, f"{report.config.target_id}-{config_hash(manifest['config'])}")
     os.makedirs(run_dir, exist_ok=True)
     base, run = report.base, report.run
     greedy.save_path_csv(base.path, os.path.join(run_dir, "path.csv"))
@@ -448,12 +449,14 @@ def write_run_artifacts(report: ExperimentReport, out_root) -> str:
     save_network(run.init_net, os.path.join(run_dir, "gsn_init_network.json"))
     save_network(run.trained_net, os.path.join(run_dir, "gsn_trained_network.json"))
     save_network(run.random_net, os.path.join(run_dir, "random_best_network.json"))
-    write_json(report.manifest(), os.path.join(run_dir, "manifest.json"))
+    write_json(manifest, os.path.join(run_dir, "manifest.json"))
     return run_dir
 
 
 def write_sweep_artifacts(report: SweepReport, out_root) -> str:
-    run_dir = os.path.join(out_root, f"{report.config.target_id}-sweep-{report.config.hash()}")
+    """Manifest, path and sweep CSV, under <out>/<target>-sweep-<config hash>/."""
+    manifest = report.manifest()  # its config object holds the node counts
+    run_dir = os.path.join(out_root, f"{report.config.target_id}-sweep-{config_hash(manifest['config'])}")
     os.makedirs(run_dir, exist_ok=True)
     greedy.save_path_csv(report.base.path, os.path.join(run_dir, "path.csv"))
     branches = ("gsn_init", "gsn_trained", "random_trained")
@@ -462,7 +465,7 @@ def write_sweep_artifacts(report: SweepReport, out_root) -> str:
                     [list(report.node_counts),
                      *([getattr(run, b).rel_l2 if run else None for run in report.runs]
                        for b in branches)])
-    write_json(report.manifest(), os.path.join(run_dir, "manifest.json"))
+    write_json(manifest, os.path.join(run_dir, "manifest.json"))
     return run_dir
 
 

@@ -167,23 +167,21 @@ def cmd_dict(args) -> int:
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     directions = _load(sampling.load_directions_csv, args.directions, "directions", train_set.dim)
     try:
-        live, norms = sampling.live_rows(train_set, directions, cfg.drop_tol)
+        rows = sampling.live_rows(train_set, directions, cfg.drop_tol)
     except ValueError as exc:  # no direction live on this training set
         raise CliError(f"no dictionary from directions file {args.directions}: {exc}") from exc
-    sampling.save_dictionary_csv(sampling.DictionaryRows(live, directions[live], norms), args.out)
-    print(f"kept {live.size} of {len(directions)} atoms -> {args.out}")
+    sampling.save_dictionary_csv(rows, args.out)
+    print(f"kept {len(rows.directions)} of {len(directions)} atoms -> {args.out}")
     return EXIT_OK
 
 
 def cmd_ridgelet(args) -> int:
     cfg = _stage_config(args, quad_r_max="--r-max", threads="--threads")
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
-    directions = _load(sampling.load_directions_csv, args.directions, "directions", train_set.dim)
-    if len(directions) == 0:
-        raise CliError(f"directions file {args.directions} holds no direction")
-    fld = ridgelet.collapsed_field(train_set, directions, cfg.quadrature, threads=cfg.threads)
+    rows = _load(sampling.read_dictionary_csv, args.dict, "dictionary", train_set.dim)
+    fld = ridgelet.collapsed_field(train_set, rows.directions, cfg.quadrature, threads=cfg.threads)
     ridgelet.save_field_csv(fld, args.out)
-    print(f"wrote collapsed transform for {len(directions)} directions -> {args.out}")
+    print(f"wrote collapsed transform for {len(rows.directions)} atoms -> {args.out}")
     return EXIT_OK
 
 
@@ -191,16 +189,12 @@ def cmd_prune(args) -> int:
     cfg = _stage_config(args, prune_threshold="--threshold")
     fld = _load(ridgelet.load_field_csv, args.field, "field")
     rows = _load(sampling.read_dictionary_csv, args.dict, "dictionary")
-    src = rows.source_indices
-    if src.min() < 0 or src.max() >= len(fld.values):
-        raise CliError(f"field {args.field} has {len(fld.values)} rows; the dictionary refers "
-                       f"to source rows {src.min()}..{src.max()}")
-    if not np.array_equal(fld.directions[src], rows.directions):
+    if not np.array_equal(fld.directions, rows.directions):
         raise CliError(f"field {args.field} was computed on other directions than "
                        f"dictionary {args.dict}")
-    keep = ridgelet.keep_rows(fld.values[src], cfg.prune_threshold)
+    keep = ridgelet.keep_rows(fld.values, cfg.prune_threshold)
     sampling.save_dictionary_csv(sampling.DictionaryRows(*(col[keep] for col in rows)), args.out)
-    print(f"kept {keep.size} of {src.size} atoms -> {args.out}")
+    print(f"kept {keep.size} of {len(rows.directions)} atoms -> {args.out}")
     return EXIT_OK
 
 
@@ -209,10 +203,12 @@ def cmd_greedy(args) -> int:
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     val_set = _load(sampling.load_dataset_csv, args.val, "validation set")
     rows = _load(sampling.read_dictionary_csv, args.dict, "dictionary", train_set.dim)
-    check_dictionary_fits(train_set.n_points, rows.source_indices.size)
-    try:
-        dictionary = sampling.load_dictionary_csv(rows, train_set)
-    except ValueError as exc:  # atoms dead on this training set
+    check_dictionary_fits(train_set.n_points, len(rows.directions))
+    try:  # an atom dead on this training set is a fault of the file
+        dictionary = sampling.build_dictionary(train_set, rows.directions, 0.0)
+        if dictionary.n_atoms != len(rows.directions):
+            raise ValueError("atoms dead on this training set")
+    except ValueError as exc:
         raise CliError(f"malformed dictionary file {args.dict}: {exc}") from exc
     path = greedy.oga_run(dictionary, train_set, val_set, cfg.max_iter)
     if not path.records:
@@ -223,10 +219,9 @@ def cmd_greedy(args) -> int:
     doc = {
         "input_dim": train_set.dim,
         "selected_nodes": n,
-        "directions": [{"a": row[:-1], "b": row[-1]}
-                       for row in dictionary.directions[chosen].tolist()],
+        "directions": [{"a": row[:-1], "b": row[-1]} for row in rows.directions[chosen].tolist()],
         "atom_indices": chosen,
-        "source_indices": dictionary.source_indices[chosen].tolist(),
+        "source_indices": rows.source_indices[chosen].tolist(),
     }
     bench.write_json(doc, args.nodes_out)
     print(f"selected {n} nodes -> {args.nodes_out}; path -> {args.out}")
@@ -342,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     stage("dict", cmd_dict, "build the atom dictionary from artifacts",
           ["--train", "--directions"], [("--drop-tol", "drop_tol", float)])
-    stage("ridgelet", cmd_ridgelet, "collapsed transform over sampled directions",
-          ["--train", "--directions"],
+    stage("ridgelet", cmd_ridgelet, "collapsed transform over the dictionary rows",
+          ["--train", "--dict"],
           [("--r-max", "quad_r_max", float), ("--threads", "threads", int)])
     stage("prune", cmd_prune, "threshold the dictionary rows by field magnitude",
           ["--dict", "--field"], [("--threshold", "prune_threshold", float)])

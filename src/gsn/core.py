@@ -139,8 +139,9 @@ class Dictionary:
     ``features.T @ q`` GEMVs read that buffer row by row.
     ``directions`` is the (n_atoms, d+1) array whose row j is [a_j | b_j],
     unit norm, the same layout as a row of the directions CSV.
-    ``source_indices[j]`` is the row of atom j in the sampled direction
-    set, which also held the directions dropped as dead.
+    ``source_indices[j]`` is the row of atom j in the directions the
+    dictionary was built from, which also held the directions dropped as
+    dead (see ``sampling.build_dictionary``).
     """
 
     features: np.ndarray

@@ -181,9 +181,13 @@ def _atom_rows(inputs: np.ndarray, A: np.ndarray, b: np.ndarray, drop_tol: float
     return rows[:k], norms[:k], kept[:k]
 
 
-def live_rows(dataset: Dataset, directions, drop_tol: float = 1e-12):
-    """Rows of ``directions`` whose atoms ``build_dictionary`` keeps, and their raw
-    norms, found with its block kernel but without writing any feature."""
+# the rows of a dictionary CSV: one atom each, without its features
+DictionaryRows = namedtuple("DictionaryRows", "source_indices directions raw_norms")
+
+
+def live_rows(dataset: Dataset, directions, drop_tol: float = 1e-12) -> DictionaryRows:
+    """The rows of ``directions`` whose atoms ``build_dictionary`` keeps, with their
+    raw norms, found with its block kernel but without writing any feature."""
     W = check_directions(directions, dataset.dim)
     norms = np.empty(len(W))
     for lo, _, block_norms in _relu_blocks(dataset.inputs, W[:, :-1], W[:, -1]):
@@ -191,7 +195,7 @@ def live_rows(dataset: Dataset, directions, drop_tol: float = 1e-12):
     live = np.flatnonzero(norms > drop_tol)
     if not live.size:
         raise ValueError("every sampled direction is dead on the training set")
-    return live, norms[live]
+    return DictionaryRows(live, W[live], norms[live])
 
 
 def build_dictionary(dataset: Dataset, directions, drop_tol: float = 1e-12) -> Dictionary:
@@ -242,10 +246,6 @@ def load_directions_csv(path, dim: int) -> np.ndarray:
     return check_directions(read_csv_table(path)[1], dim)
 
 
-# the rows of a dictionary CSV: one atom each, without its features
-DictionaryRows = namedtuple("DictionaryRows", "source_indices directions raw_norms")
-
-
 def save_dictionary_csv(rows, path) -> None:
     """One row per atom of ``rows`` (DictionaryRows, or a Dictionary): source
     index, direction coordinates, raw norm."""
@@ -268,11 +268,3 @@ def read_dictionary_csv(path, dim: int | None = None) -> DictionaryRows:
         raise ValueError("raw_norm entries must be finite and positive")
     return DictionaryRows(source, check_directions(data[:, 1:-1], dim), raw_norms)
 
-
-def load_dictionary_csv(rows: DictionaryRows, dataset: Dataset) -> Dictionary:
-    """Dictionary-CSV rows, read at the training set's dimension, with their features rebuilt."""
-    W = rows.directions
-    features, norms, kept = _atom_rows(dataset.inputs, W[:, :-1], W[:, -1], 0.0)
-    if kept.size != len(W):
-        raise ValueError("dictionary CSV contains atoms dead on this training set")
-    return Dictionary(features.T, norms, W, rows.source_indices)

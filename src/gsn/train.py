@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, ShallowNetwork, batch_eval, rescale_node, write_csv_table
+from .core import Dataset, GsnError, ShallowNetwork, batch_eval, rescale_node, write_csv_table
 from .sampling import substream
 
 ADAM_BETA1 = 0.9
@@ -119,6 +119,7 @@ def train_params(params: NetParams, train_set: Dataset, cfg: TrainConfig) -> tup
     schedule and the step count t; their curve is (n_restarts, epochs).
     Minibatches are slices of a per-epoch shuffled copy of the data. The loss
     takes one restart at a time in one (n, N) buffer, at full batch the kernel's.
+    The first non-finite loss raises GsnError, naming its epoch.
     """
     *lead, n_nodes, d = params.A.shape
     n_nets = math.prod(lead)
@@ -174,7 +175,10 @@ def train_params(params: NetParams, train_set: Dataset, cfg: TrainConfig) -> tup
             np.maximum(z_full, 0.0, out=z_full)
             np.matmul(z_full, c_r, out=err)
             err -= y
-            curve_r[epoch] = np.dot(err, err) / n
+            curve_r[epoch] = loss = np.dot(err, err) / n
+            if not math.isfinite(loss):
+                raise GsnError(f"training diverged: loss not finite after epoch {epoch + 1} "
+                               f"of {cfg.epochs}")
     return NetParams(A.copy(), b.copy(), c.copy()), curve
 
 

@@ -10,11 +10,10 @@ import pytest
 
 from gsn import bench, cli
 from gsn.bench import PipelineError
-from gsn.core import Dataset, load_network
+from gsn.core import Dataset
 from gsn.ridgelet import CollapsedField, load_field_csv, prune_dictionary, save_field_csv
-from gsn.sampling import (build_dictionary, load_dataset_csv, load_dictionary_csv,
-                          load_directions_csv, read_dictionary_csv, save_dataset_csv,
-                          save_dictionary_csv)
+from gsn.sampling import (build_dictionary, load_dataset_csv, load_directions_csv,
+                          read_dictionary_csv, save_dataset_csv, save_dictionary_csv)
 
 
 def run_cli(*argv):
@@ -125,14 +124,40 @@ def tiny_run_args(tmp_path, example, **fields):
             "--config", str(cfgp), "--out", str(tmp_path / "out")]
 
 
-@pytest.mark.parametrize("example", ["ex1", "ex6"])
-def test_training_overflow_exits_3_naming_the_stage(tmp_path, capsys, example):
-    # a single run and a sweep train through one staged step, so both name it
-    argv = tiny_run_args(tmp_path, example, gsn_train={"initial_lr": 1e300})
+@pytest.mark.parametrize("example, branch, stage", [
+    ("ex1", "gsn_train", "train"), ("ex6", "gsn_train", "train"),
+    ("ex1", "random_train", "baseline"), ("ex1", "gsn_train", None)],
+    ids=["ex1", "ex6", "ex1-baseline", "gsn-train"])
+def test_training_overflow_exits_3_naming_the_stage(tmp_path, capsys, example, branch, stage):
+    # a single run and a sweep train through one staged step, so both name it, and
+    # gsn train (stage None) fails alike: the first non-finite epoch loss stops training
+    overflow = {branch: {"initial_lr": 1e300}}
+    if stage is None:
+        out = staged_dictionary(tmp_path)
+        assert run_cli("greedy", "--train", str(out / "train.csv"), "--val", str(out / "val.csv"),
+                       "--dict", str(out / "dictionary.csv"), "--out", str(out / "path.csv"),
+                       "--nodes-out", str(out / "nodes.json")) == 0
+        assert run_cli("fit", "--train", str(out / "train.csv"), "--nodes", str(out / "nodes.json"),
+                       "--out", str(out / "network.json")) == 0
+        cfgp = tmp_path / "overflow.json"
+        cfgp.write_text(json.dumps({"target_id": example, **overflow}))
+        argv = ["train", "--config", str(cfgp), "--network", str(out / "network.json"),
+                "--train", str(out / "train.csv"), "--out", str(out / "trained.json")]
+        prefix = "numerical failure: "
+    else:
+        argv = tiny_run_args(tmp_path, example, **overflow)
+        prefix = f"numerical failure in stage {stage!r}: "
+    capsys.readouterr()
     with np.errstate(all="ignore"):
-        assert run_cli(*argv) == 3
-    assert "numerical failure in stage 'train'" in capsys.readouterr().err
-    assert not any(p.is_dir() for p in (tmp_path / "out").iterdir())
+        assert run_cli(*argv, "--epochs", "50") == 3
+    err = capsys.readouterr().err
+    divergence = r"training diverged: loss not finite after epoch (\d+) of 50\n"
+    match = re.fullmatch(re.escape(prefix) + divergence, err)
+    assert match and int(match[1]) < 50, err
+    if stage is None:
+        assert not (out / "trained.json").exists()
+    else:
+        assert not any(p.is_dir() for p in (tmp_path / "out").iterdir())
 
 
 def test_sweep_reports_sizes_past_the_path_unavailable(tmp_path, capsys):
@@ -146,6 +171,19 @@ def test_sweep_reports_sizes_past_the_path_unavailable(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("report", str(run_dir)) == 0
     assert re.findall(r"N=\s*(\d+)", capsys.readouterr().out) == ["3"]
+
+
+def test_sweeps_of_other_node_counts_write_two_run_directories(tmp_path, capsys):
+    # a run directory is named by its manifest's config object, which holds a sweep's node counts
+    for counts in ([2, 6], [3, 6]):
+        assert run_cli(*tiny_run_args(tmp_path, "ex6", node_counts=counts)) == 0
+    runs = sorted((tmp_path / "out").iterdir())
+    assert len(runs) == 2
+    for run_dir in runs:
+        config = json.loads((run_dir / "manifest.json").read_text())["config"]
+        assert run_dir.name == f"ex6-sweep-{bench.config_hash(config)}"
+    assert sorted(json.loads((p / "manifest.json").read_text())["config"]["node_counts"]
+                  for p in runs) == [[2, 6], [3, 6]]
 
 
 def zero_targets(dataset):
@@ -173,16 +211,15 @@ def test_greedy_on_zero_targets_exits_3_naming_the_termination(tmp_path, capsys,
 
 
 def test_ridgelet_stage_rows(tmp_path):
-    out = tmp_path / "s"
-    run_cli("sample", "ex1", "--seed", "0", "--out", str(out),
-            "--config", str(write_tiny_config(tmp_path)))
+    # one field row per dictionary row, on its direction: the live rows, not all 150
+    out = staged_dictionary(tmp_path)
     assert run_cli("ridgelet", "--train", str(out / "train.csv"),
-                   "--directions", str(out / "directions.csv"),
+                   "--dict", str(out / "dictionary.csv"),
                    "--threads", "1",
                    "--out", str(out / "field.csv")) == 0
-    n_dirs = len((out / "directions.csv").read_text().strip().splitlines()) - 1
-    n_rows = len((out / "field.csv").read_text().strip().splitlines()) - 1
-    assert n_rows == n_dirs == 150
+    rows = read_dictionary_csv(out / "dictionary.csv", 1)
+    assert np.array_equal(load_field_csv(out / "field.csv").directions, rows.directions)
+    assert 0 < len(rows.directions) < 150
 
 
 def test_stage_idempotence(tmp_path):
@@ -196,14 +233,15 @@ def test_stage_idempotence(tmp_path):
 
 def check_stage_chain_matches_bench(tmp_path, example, epochs, *flags):
     """sample -> dict [-> ridgelet -> prune] -> greedy -> fit -> train, each stage
-    given the sample's config.json and no value flag, reproduces the bench
-    manifest numbers of the same call."""
+    given the sample's config.json and no value flag, writes the same bytes as the
+    bench run of the same call: the field (when pruning), the greedy path, the
+    initial and trained networks and the loss curve. Returns the bench results."""
     call = [example, "--seed", "3", "--epochs", str(epochs), "--restarts", "1",
             "--threads", "1", *flags]
     bench_out = tmp_path / "bench"
     assert run_cli("bench", *call, "--out", str(bench_out)) == 0
-    doc = manifest_in(bench_out)
-    results = doc["results"]
+    (run_dir,) = bench_out.iterdir()
+    doc = json.loads((run_dir / "manifest.json").read_text())
 
     stage = tmp_path / "stage"
     assert run_cli("sample", *call, "--out", str(stage)) == 0
@@ -212,30 +250,26 @@ def check_stage_chain_matches_bench(tmp_path, example, epochs, *flags):
     assert run_cli("dict", *cfg, *train_csv, "--directions", str(stage / "directions.csv"),
                    "--out", str(stage / "dictionary.csv")) == 0
     dict_path = stage / "dictionary.csv"
+    pairs = {"path.csv": "path.csv", "network.json": "gsn_init_network.json",
+             "trained.json": "gsn_trained_network.json", "loss.csv": "gsn_loss.csv"}
     if doc["config"]["prune"]:
-        assert run_cli("ridgelet", *cfg, *train_csv,
-                       "--directions", str(stage / "directions.csv"),
+        assert run_cli("ridgelet", *cfg, *train_csv, "--dict", str(dict_path),
                        "--out", str(stage / "field.csv")) == 0
         assert run_cli("prune", *cfg, "--dict", str(dict_path),
                        "--field", str(stage / "field.csv"), "--out", str(stage / "pruned.csv")) == 0
         dict_path = stage / "pruned.csv"
+        pairs["field.csv"] = "field.csv"
     assert run_cli("greedy", *cfg, *train_csv, "--val", str(stage / "val.csv"),
                    "--dict", str(dict_path), "--out", str(stage / "path.csv"),
                    "--nodes-out", str(stage / "nodes.json")) == 0
     assert run_cli("fit", *train_csv, "--nodes", str(stage / "nodes.json"),
                    "--out", str(stage / "network.json")) == 0
     assert run_cli("train", *cfg, *train_csv, "--network", str(stage / "network.json"),
-                   "--out", str(stage / "trained.json")) == 0
+                   "--out", str(stage / "trained.json"), "--loss-out", str(stage / "loss.csv")) == 0
 
-    train_set = load_dataset_csv(stage / "train.csv")
-    test_set = load_dataset_csv(stage / "test.csv")
-    assert len(read_dictionary_csv(dict_path).source_indices) == results["dictionary_size_after_prune"]
-    nodes_doc = json.loads((stage / "nodes.json").read_text())
-    assert nodes_doc["selected_nodes"] == results["selected_nodes"]
-    for network, branch in (("network.json", "gsn_init"), ("trained.json", "gsn_trained")):
-        err = bench.compute_errors(load_network(stage / network), test_set)
-        assert err.rel_l2 == results["errors"][branch]["rel_l2"]
-    return results
+    for staged, benched in pairs.items():
+        assert (stage / staged).read_bytes() == (run_dir / benched).read_bytes(), staged
+    return doc["results"]
 
 
 def test_stage_chain_matches_bench(tmp_path):
@@ -275,7 +309,7 @@ c = ["--config", s + "/config.json"]
 t = ["--train", s + "/train.csv"]
 assert cli.main(["dict", *c, *t, "--directions", s + "/directions.csv",
                  "--out", s + "/dictionary.csv"]) == 0
-assert cli.main(["ridgelet", *c, *t, "--directions", s + "/directions.csv",
+assert cli.main(["ridgelet", *c, *t, "--dict", s + "/dictionary.csv",
                  "--out", s + "/field.csv"]) == 0
 assert cli.main(["prune", *c, "--dict", s + "/dictionary.csv", "--field", s + "/field.csv",
                  "--out", s + "/pruned.csv"]) == 0
@@ -352,11 +386,9 @@ def test_config_nonpositive_r_max_exits_2(tmp_path, capsys, extra):
 
 
 def test_ridgelet_stage_nonpositive_r_max_exits_2(tmp_path, capsys):
-    out = tmp_path / "s"
-    assert run_cli("sample", "ex1", "--seed", "0", "--out", str(out),
-                   "--config", str(write_tiny_config(tmp_path))) == 0
+    out = staged_dictionary(tmp_path)
     code = run_cli("ridgelet", "--train", str(out / "train.csv"),
-                   "--directions", str(out / "directions.csv"),
+                   "--dict", str(out / "dictionary.csv"),
                    "--r-max", "0", "--out", str(out / "field.csv"))
     assert code == 2
     assert "r-max" in capsys.readouterr().err
@@ -471,11 +503,11 @@ def test_dict_drop_tol_default_matches_bench(tmp_path):
                                   ["ridgelet", "--threads", "-1"], ["ridgelet", "--threads", "0"]],
                          ids=" ".join)
 def test_stage_flags_checked_by_config(tmp_path, capsys, argv):
-    out = tmp_path / "s"
-    assert run_cli("sample", "ex1", "--seed", "0", "--out", str(out),
-                   "--config", str(write_tiny_config(tmp_path))) == 0
+    out = staged_dictionary(tmp_path)
+    rows = {"dict": ["--directions", str(out / "directions.csv")],
+            "ridgelet": ["--dict", str(out / "dictionary.csv")]}[argv[0]]
     code = run_cli(*argv, "--config", str(out / "config.json"), "--train", str(out / "train.csv"),
-                   "--directions", str(out / "directions.csv"), "--out", str(out / "result.csv"))
+                   *rows, "--out", str(out / "result.csv"))
     assert code == 2
     assert f"invalid {argv[1]}: " in capsys.readouterr().err
     assert not (out / "result.csv").exists()
@@ -495,9 +527,12 @@ def write_direction_input(tmp_path, stage, fault):
     csv_rows, pairs = DIRECTION_FAULTS[fault]
     if stage in ("dict", "ridgelet"):
         width = len(csv_rows[0].split(","))
-        path = tmp_path / "bad_directions.csv"
-        header = ",".join([f"a{i + 1}" for i in range(width - 1)] + ["b"])
-        path.write_text("\n".join([header] + csv_rows) + "\n")
+        header = [f"a{i + 1}" for i in range(width - 1)] + ["b"]
+        if stage == "ridgelet":  # dictionary rows: source index, direction, raw norm
+            header = ["source_index", *header, "raw_norm"]
+            csv_rows = [f"{k},{row},1.0" for k, row in enumerate(csv_rows)]
+        path = tmp_path / "bad_rows.csv"
+        path.write_text("\n".join([",".join(header)] + csv_rows) + "\n")
     elif stage == "fit":
         path = tmp_path / "bad_nodes.json"
         path.write_text(json.dumps({"input_dim": 1, "selected_nodes": 2,
@@ -519,8 +554,7 @@ def test_malformed_direction_input_exits_2(tmp_path, capsys, stage, fault):
     out = tmp_path / "out"
     argv = {
         "dict": ["dict", "--train", str(train_csv), "--directions", str(bad)],
-        "ridgelet": ["ridgelet", "--train", str(train_csv), "--directions", str(bad),
-                     "--threads", "1"],
+        "ridgelet": ["ridgelet", "--train", str(train_csv), "--dict", str(bad), "--threads", "1"],
         "fit": ["fit", "--train", str(train_csv), "--nodes", str(bad)],
         "train": ["train", "--network", str(bad), "--train", str(train_csv), "--epochs", "1"],
     }[stage]
@@ -544,14 +578,12 @@ def test_dict_without_live_directions_exits_2(tmp_path, capsys, rows):
 
 
 def test_ridgelet_without_directions_exits_2(tmp_path, capsys):
-    out = tmp_path / "s"
-    assert run_cli("sample", "ex1", "--seed", "0", "--out", str(out),
-                   "--config", str(write_tiny_config(tmp_path))) == 0
-    directions = tmp_path / "empty.csv"
-    directions.write_text("a1,b\n")
-    assert run_cli("ridgelet", "--train", str(out / "train.csv"), "--directions", str(directions),
+    out = staged_dictionary(tmp_path)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("source_index,a1,b,raw_norm\n")
+    assert run_cli("ridgelet", "--train", str(out / "train.csv"), "--dict", str(empty),
                    "--threads", "1", "--out", str(out / "field.csv")) == 2
-    assert str(directions) in capsys.readouterr().err
+    assert f"malformed dictionary file {empty}: no atom rows" in capsys.readouterr().err
     assert not (out / "field.csv").exists()
 
 
@@ -635,7 +667,7 @@ def test_greedy_refuses_dictionary_beyond_memory(tmp_path, capsys, monkeypatch):
         raise AssertionError("the dictionary must not be built")
 
     monkeypatch.setattr(cli, "available_memory_bytes", lambda: 10_000)
-    monkeypatch.setattr(cli.sampling, "load_dictionary_csv", never)
+    monkeypatch.setattr(cli.sampling, "build_dictionary", never)
     assert run_cli("greedy", "--train", str(out / "train.csv"), "--val", str(out / "val.csv"),
                    "--dict", str(out / "dictionary.csv"), "--nodes-out", str(out / "nodes.json"),
                    "--out", str(out / "result.csv")) == 2
@@ -643,16 +675,32 @@ def test_greedy_refuses_dictionary_beyond_memory(tmp_path, capsys, monkeypatch):
     assert not (out / "result.csv").exists()
 
 
+def test_greedy_rejects_atoms_dead_on_its_training_set(tmp_path, capsys):
+    # the dictionary rows of one training set, read with another on which some of their atoms
+    # are dead, are refused before greedy runs
+    out = staged_dictionary(tmp_path)
+    train_set = load_dataset_csv(out / "train.csv")
+    far = tmp_path / "far.csv"
+    save_dataset_csv(Dataset(train_set.inputs + 100.0, train_set.targets,
+                             train_set.domain_bounds + 100.0), far)
+    assert run_cli("greedy", "--train", str(far), "--val", str(out / "val.csv"),
+                   "--dict", str(out / "dictionary.csv"), "--nodes-out", str(out / "nodes.json"),
+                   "--out", str(out / "path.csv")) == 2
+    err = capsys.readouterr().err
+    assert f"malformed dictionary file {out / 'dictionary.csv'}: atoms dead on this training set" in err
+    assert not (out / "path.csv").exists() and not (out / "nodes.json").exists()
+
+
 def staged_field(out, field):
-    """Write the field CSV of the staged directions and return its path: ``field``
+    """Write the field CSV of the staged dictionary rows and return its path: ``field``
     "ridgelet" runs gsn ridgelet, "zero" writes every value 0."""
     path = out / "field.csv"
     if field == "ridgelet":
         assert run_cli("ridgelet", "--train", str(out / "train.csv"),
-                       "--directions", str(out / "directions.csv"),
+                       "--dict", str(out / "dictionary.csv"),
                        "--threads", "1", "--out", str(path)) == 0
     else:
-        directions = load_directions_csv(out / "directions.csv", 1)
+        directions = read_dictionary_csv(out / "dictionary.csv", 1).directions
         save_field_csv(CollapsedField(directions, np.zeros(len(directions))), path)
     return path
 
@@ -660,7 +708,7 @@ def staged_field(out, field):
 @pytest.mark.parametrize("field", ["ridgelet", "zero"])
 def test_dict_and_prune_match_the_feature_route(tmp_path, field):
     # gsn dict and gsn prune write rows without features; their files equal those
-    # of the feature route: build_dictionary, then prune_dictionary on the rebuild
+    # of the feature route: build_dictionary, then prune_dictionary by the field of its rows
     out = staged_dictionary(tmp_path)
     train_set = load_dataset_csv(out / "train.csv")
     directions = load_directions_csv(out / "directions.csv", 1)
@@ -669,12 +717,10 @@ def test_dict_and_prune_match_the_feature_route(tmp_path, field):
     save_dictionary_csv(full, tmp_path / "reference.csv")
     assert (out / "dictionary.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    values = load_field_csv(staged_field(out, field)).values
-    rebuilt = load_dictionary_csv(read_dictionary_csv(out / "dictionary.csv", 1), train_set)
-    sub = CollapsedField(rebuilt.directions, values[rebuilt.source_indices])
+    fld = load_field_csv(staged_field(out, field))
     threshold = bench.ExperimentConfig.prune_threshold
     with pytest.warns(RuntimeWarning, match="zero") if field == "zero" else contextlib.nullcontext():
-        save_dictionary_csv(prune_dictionary(rebuilt, sub, threshold), tmp_path / "reference.csv")
+        save_dictionary_csv(prune_dictionary(full, fld, threshold), tmp_path / "reference.csv")
         assert run_cli("prune", "--dict", str(out / "dictionary.csv"),
                        "--field", str(out / "field.csv"), "--out", str(out / "pruned.csv")) == 0
     assert (out / "pruned.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -688,7 +734,7 @@ def forbid_feature_builds(monkeypatch):
         raise AssertionError("no feature may be built")
 
     monkeypatch.setattr(cli, "available_memory_bytes", lambda: 10_000)
-    for name in ("_atom_rows", "build_dictionary", "load_dictionary_csv"):
+    for name in ("_atom_rows", "build_dictionary"):
         monkeypatch.setattr(cli.sampling, name, never)
 
 
@@ -746,17 +792,17 @@ def test_prune_rejects_malformed_dictionary(tmp_path, capsys, fault):
 @pytest.mark.parametrize("other", ["seed", "rows"])
 def test_prune_rejects_field_of_other_directions(tmp_path, capsys, other):
     out = staged_dictionary(tmp_path)
-    directions = out / "directions.csv"
+    rows = tmp_path / "other.csv"
     if other == "seed":
         # the same training set with directions sampled from another seed
         assert run_cli("sample", "ex1", "--seed", "1", "--out", str(tmp_path / "s1"),
                        "--config", str(write_tiny_config(tmp_path))) == 0
-        directions = tmp_path / "s1" / "directions.csv"
-    else:
-        lines = directions.read_text().splitlines()
-        directions = tmp_path / "head.csv"
-        directions.write_text("\n".join(lines[:11]) + "\n")
-    assert run_cli("ridgelet", "--train", str(out / "train.csv"), "--directions", str(directions),
+        assert run_cli("dict", "--train", str(out / "train.csv"),
+                       "--directions", str(tmp_path / "s1" / "directions.csv"), "--out", str(rows)) == 0
+    else:  # the first ten rows of the dictionary
+        lines = (out / "dictionary.csv").read_text().splitlines()
+        rows.write_text("\n".join(lines[:11]) + "\n")
+    assert run_cli("ridgelet", "--train", str(out / "train.csv"), "--dict", str(rows),
                    "--threads", "1", "--out", str(out / "field.csv")) == 0
     code = run_cli("prune", "--dict", str(out / "dictionary.csv"),
                    "--field", str(out / "field.csv"), "--out", str(out / "pruned.csv"))
@@ -833,7 +879,7 @@ def test_non_finite_training_set_exits_2(tmp_path, capsys, stage, column):
     bad.write_text("\n".join(lines) + "\n")
     argv = {
         "dict": ["dict", "--directions", str(out / "directions.csv")],
-        "ridgelet": ["ridgelet", "--directions", str(out / "directions.csv"), "--threads", "1"],
+        "ridgelet": ["ridgelet", "--dict", str(out / "dictionary.csv"), "--threads", "1"],
         "greedy": ["greedy", "--val", str(out / "val.csv"), "--dict", str(out / "dictionary.csv"),
                    "--nodes-out", str(tmp_path / "nodes.json")],
         "fit": ["fit", "--nodes", str(out / "nodes.json")],

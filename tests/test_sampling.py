@@ -11,7 +11,6 @@ from gsn.sampling import (
     generate_dataset,
     golden_spiral,
     load_dataset_csv,
-    load_dictionary_csv,
     read_dictionary_csv,
     load_directions_csv,
     sample_circle,
@@ -237,27 +236,24 @@ def test_build_dictionary_matches_unblocked_reference():
 
 
 def test_dictionary_csv_round_trip_same_bits(tmp_path):
+    # the rows of a saved dictionary read back bit for bit, equal the rows that
+    # live_rows finds, and rebuild the same features through build_dictionary
     ds, dirs, _ = blocked_case()
     dic = build_dictionary(ds, dirs)
     path = tmp_path / "dict.csv"
     save_dictionary_csv(dic, path)
-    back = load_dictionary_csv(read_dictionary_csv(path, ds.dim), ds)
+    rows = read_dictionary_csv(path, ds.dim)
+    assert np.array_equal(rows.source_indices, dic.source_indices)
+    assert np.array_equal(bits(rows.raw_norms), bits(dic.raw_norms))
+    assert np.array_equal(bits(rows.directions), bits(dic.directions))
+    save_dictionary_csv(sampling.live_rows(ds, dirs), tmp_path / "live.csv")
+    assert (tmp_path / "live.csv").read_bytes() == path.read_bytes()
+    back = build_dictionary(ds, rows.directions, 0.0)
     assert np.array_equal(bits(back.features), bits(dic.features))
     assert np.array_equal(bits(back.raw_norms), bits(dic.raw_norms))
-    assert np.array_equal(back.source_indices, dic.source_indices)
-    assert np.array_equal(bits(back.directions), bits(dic.directions))
     assert back.features.flags.f_contiguous
-    save_dictionary_csv(back, tmp_path / "again.csv")
+    save_dictionary_csv(rows, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
-
-
-def test_load_dictionary_csv_rejects_dead_atoms(tmp_path):
-    ds, dirs, _ = blocked_case()
-    path = tmp_path / "dict.csv"
-    save_dictionary_csv(build_dictionary(ds, dirs), path)
-    far = Dataset(ds.inputs + 100.0, ds.targets, ds.domain_bounds + 100.0)
-    with pytest.raises(ValueError, match="dead"):
-        load_dictionary_csv(read_dictionary_csv(path, far.dim), far)
 
 
 def test_build_dictionary_peak_memory():

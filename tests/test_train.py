@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from gsn.core import Dataset, ShallowNetwork, batch_eval
+from gsn.core import Dataset, GsnError, ShallowNetwork, batch_eval
 from gsn.sampling import substream
 from gsn.train import (
     ADAM_BETA1,
@@ -120,6 +121,22 @@ def test_train_zero_epochs_returns_input(rng):
     out, curve = train(net, ds, TrainConfig(epochs=0, batch_size=4))
     assert out is net
     assert curve.size == 0
+
+
+@pytest.mark.parametrize("n_restarts", [1, 3])
+def test_train_params_stops_at_the_first_diverged_epoch(rng, n_restarts):
+    # an overflowing learning rate makes the loss non-finite within a few epochs:
+    # training stops there, naming the epoch, instead of stepping on to the last
+    ds = random_batch(rng, 10, 1)
+    params = truncated_normal_params(3, 1, seed=2)
+    if n_restarts > 1:
+        params = NetParams(*(np.stack([getattr(params, k)] * n_restarts) for k in ("A", "b", "c")))
+    cfg = TrainConfig(epochs=50, batch_size=4, initial_lr=1e300)
+    with np.errstate(all="ignore"), pytest.raises(GsnError, match="training diverged") as info:
+        train_params(params, ds, cfg)
+    epoch = int(re.fullmatch(r"training diverged: loss not finite after epoch (\d+) of 50",
+                             str(info.value))[1])
+    assert 1 <= epoch < cfg.epochs
 
 
 def test_train_inline_adam_matches_adam_update(rng):
