@@ -156,6 +156,8 @@ class ExperimentConfig:
             raise ValueError("quad_r_max must be finite and positive")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         object.__setattr__(self, "notes", tuple(self.notes))
 
     @property
@@ -189,7 +191,6 @@ def default_config(target_id: str, seed: int = 0, **overrides) -> ExperimentConf
     if target_id not in _DEFAULTS:
         raise KeyError(f"unknown target id {target_id!r}")
     n_train, n_val, n_test, gsn_batch, rnd_batch, max_iter, n_restarts, prune = _DEFAULTS[target_id]
-    target = get_target(target_id)
     shuffle_seed = sampling.substream_seed(seed, "shuffle")
     notes = ()
     if target_id == "ex5":
@@ -200,7 +201,7 @@ def default_config(target_id: str, seed: int = 0, **overrides) -> ExperimentConf
         n_train=n_train,
         n_val=n_val,
         n_test=n_test,
-        dict_size=sampling.default_direction_count(target.dimension),
+        dict_size=10_000 * get_target(target_id).dimension,
         prune=prune,
         max_iter=max_iter,
         gsn_train=TrainConfig(epochs=10_000, batch_size=gsn_batch, seed=shuffle_seed),

@@ -95,14 +95,14 @@ def load_experiment_config(path: str | None, target_id: str | None = None,
     return cfg, doc
 
 
-def _with_flags(obj, args, **options):
+def _with_flags(obj, args, flags: dict):
     """``obj`` with the fields of the flags given replaced, checked by its own
-    __post_init__; ``options`` maps each field to its flag, whose dest it is."""
-    given = {field: getattr(args, field) for field in options if getattr(args, field) is not None}
+    __post_init__; ``flags`` maps each field to its flag, whose dest it is."""
+    given = {field: getattr(args, field) for field in flags if getattr(args, field) is not None}
     try:
         return replace(obj, **given)
     except ValueError as exc:
-        raise CliError(f"invalid {' '.join(options[field] for field in given)}: {exc}") from exc
+        raise CliError(f"invalid {' '.join(flags[field] for field in given)}: {exc}") from exc
 
 
 def build_experiment_config(args) -> tuple[bench.ExperimentConfig, dict]:
@@ -111,10 +111,10 @@ def build_experiment_config(args) -> tuple[bench.ExperimentConfig, dict]:
     ``to_dict()`` plus an ex6 sweep's node counts."""
     cfg, doc = load_experiment_config(args.config, args.example, args.seed)
     train_flags = {"epochs": "--epochs", "batch_size": "--batch"}
-    cfg = replace(cfg, gsn_train=_with_flags(cfg.gsn_train, args, **train_flags),
-                  random_train=_with_flags(cfg.random_train, args, **train_flags))
-    cfg = _with_flags(cfg, args, n_nodes="--nodes", n_restarts="--restarts", threads="--threads",
-                      prune="--no-prune")
+    cfg = replace(cfg, gsn_train=_with_flags(cfg.gsn_train, args, train_flags),
+                  random_train=_with_flags(cfg.random_train, args, train_flags))
+    cfg = _with_flags(cfg, args, {"n_nodes": "--nodes", "n_restarts": "--restarts",
+                                  "threads": "--threads", "prune": "--no-prune"})
     if cfg.target_id == "ex6" and cfg.n_nodes is not None:
         raise CliError("ex6 runs a node-count sweep, which takes no n_nodes (--nodes); "
                        "set its sizes with the config field node_counts")
@@ -124,14 +124,14 @@ def build_experiment_config(args) -> tuple[bench.ExperimentConfig, dict]:
     return cfg, resolved
 
 
-def _stage_config(args, **options) -> bench.ExperimentConfig:
+def _stage_config(args) -> bench.ExperimentConfig:
     """A stage's config: its --config file, else the ExperimentConfig defaults (the
-    example and sizes are placeholders), with the flags ``options`` maps fields to."""
+    example and sizes are placeholders), with the stage's flags (``args.flags``)."""
     if args.config:
         cfg = load_experiment_config(args.config)[0]
     else:
         cfg = bench.ExperimentConfig(bench.EXAMPLE_IDS[0], 1, 1, 1, 1, threads=default_threads())
-    return _with_flags(cfg, args, **options)
+    return _with_flags(cfg, args, args.flags)
 
 
 def cmd_bench(args) -> int:
@@ -163,7 +163,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_dict(args) -> int:
-    cfg = _stage_config(args, drop_tol="--drop-tol")
+    cfg = _stage_config(args)
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     directions = _load(sampling.load_directions_csv, args.directions, "directions", train_set.dim)
     try:
@@ -176,7 +176,7 @@ def cmd_dict(args) -> int:
 
 
 def cmd_ridgelet(args) -> int:
-    cfg = _stage_config(args, quad_r_max="--r-max", threads="--threads")
+    cfg = _stage_config(args)
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     rows = _load(sampling.read_dictionary_csv, args.dict, "dictionary", train_set.dim)
     fld = ridgelet.collapsed_field(train_set, rows.directions, cfg.quadrature, threads=cfg.threads)
@@ -186,7 +186,7 @@ def cmd_ridgelet(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    cfg = _stage_config(args, prune_threshold="--threshold")
+    cfg = _stage_config(args)
     fld = _load(ridgelet.load_field_csv, args.field, "field")
     rows = _load(sampling.read_dictionary_csv, args.dict, "dictionary")
     if not np.array_equal(fld.directions, rows.directions):
@@ -199,7 +199,7 @@ def cmd_prune(args) -> int:
 
 
 def cmd_greedy(args) -> int:
-    cfg = _stage_config(args, max_iter="--max-iter", n_nodes="--nodes")
+    cfg = _stage_config(args)
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     val_set = _load(sampling.load_dataset_csv, args.val, "validation set")
     rows = _load(sampling.read_dictionary_csv, args.dict, "dictionary", train_set.dim)
@@ -257,9 +257,12 @@ def cmd_train(args) -> int:
     else:  # full batch, shuffled from the default master seed
         base = train.TrainConfig(batch_size=train_set.n_points, seed=sampling.substream_seed(
             bench.ExperimentConfig.seed, "shuffle"))
-    cfg = _with_flags(base, args, epochs="--epochs", batch_size="--batch")
+    cfg = _with_flags(base, args, args.flags)
     if args.seed is not None:
-        cfg = replace(cfg, seed=sampling.substream_seed(args.seed, "shuffle"))
+        try:
+            cfg = replace(cfg, seed=sampling.substream_seed(args.seed, "shuffle"))
+        except ValueError as exc:
+            raise CliError(f"invalid --seed: {exc}") from exc
     net, curve = train.train(net0, train_set, cfg)
     save_network(net, args.out)
     if args.loss_out:
@@ -322,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     def stage(name, fn, text, inputs, fields, prefix=""):
-        """A stage parser: --config, then one flag per config field it reads
-        (dest = field name; unset flags take the config's value)."""
+        """A stage parser: --config, then one flag per config field it reads (dest = field
+        name, unset takes the config's value); ``args.flags`` maps each field to its flag."""
         p = sub.add_parser(name, help=text)
         for flag in inputs:
             p.add_argument(flag, required=True)
@@ -332,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, dest=field, type=kind, default=None,
                            help=f"default: the config's {prefix}{field}")
         p.add_argument("--out", required=True)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, flags={field: flag for flag, field, _ in fields})
         return p
 
     stage("dict", cmd_dict, "build the atom dictionary from artifacts",

@@ -91,10 +91,8 @@ class GreedyState:
         return len(self.selected)
 
     def check_invariants(self):
-        """Inline guards: residual orthogonal to the basis, energies in range."""
+        """Inline guards after a step: residual orthogonal to the basis, energies in range."""
         m = self.n_selected
-        if m == 0:
-            return
         bound = ORTHO_REL_TOL * max(self.target_norm, 1e-300)
         overlap = np.abs(self.ortho_basis[:, :m].T @ self.residual).max()
         if overlap > bound:
@@ -169,7 +167,6 @@ class PathRecord:
     iteration: int
     atom_index: int
     residual_norm: float
-    train_error: float
     validation_error: float
 
 
@@ -213,7 +210,6 @@ def oga_run(dictionary: Dictionary, dataset_train: Dataset, dataset_val: Dataset
     val_pred = np.zeros(dataset_val.n_points)
     records = []
     termination = "max_iter"
-    sqrt_tr = np.sqrt(dataset_train.n_points)
     sqrt_val = np.sqrt(dataset_val.n_points)
     for m in range(1, max_iter + 1):
         try:
@@ -232,7 +228,6 @@ def oga_run(dictionary: Dictionary, dataset_train: Dataset, dataset_val: Dataset
             iteration=m,
             atom_index=j,
             residual_norm=state.residual_norm,
-            train_error=state.residual_norm / sqrt_tr,
             validation_error=val_rmse,
         ))
     return GreedyPath(tuple(records), termination)

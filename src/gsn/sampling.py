@@ -42,13 +42,11 @@ def substream(seed: int, purpose: str, index: int = 0) -> np.random.Generator:
 
 def substream_seed(seed: int, purpose: str, index: int = 0) -> int:
     """A derived 64-bit integer seed for handing to nested components."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     key = (STREAMS[purpose], index)
     words = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, dtype=np.uint32)
     return int(words[0]) | (int(words[1]) << 32)
-
-
-def default_direction_count(dimension: int) -> int:
-    return 10_000 * dimension
 
 
 def sample_circle(count: int, seed: int = 0) -> np.ndarray:

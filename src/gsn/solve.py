@@ -8,8 +8,6 @@ normal equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Dataset, ShallowNetwork, check_directions, preactivations, relu
@@ -17,43 +15,20 @@ from .core import Dataset, ShallowNetwork, check_directions, preactivations, rel
 RANK_REL_TOL = 1e-10  # singular values below this times the largest column norm are noise
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Node activations on a point set, one column per row [a | b] of ``directions``."""
-
-    matrix: np.ndarray      # (n_points, n_nodes)
-    directions: np.ndarray  # (n_nodes, d+1) provenance
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError("design matrix must be 2-d")
-        if matrix.shape[1] != len(self.directions):
-            raise ValueError("one provenance direction per column required")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("design matrix entries must be finite")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "directions", check_directions(self.directions))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.matrix.shape[1]
-
-
-def assemble_design(dataset: Dataset, directions) -> DesignMatrix:
-    """Matrix of relu(a_n . x_i + b_n) over the dataset's inputs."""
+def assemble_design(dataset: Dataset, directions) -> np.ndarray:
+    """The (n_points, n_nodes) matrix of relu(a_n . x_i + b_n) over the dataset's inputs."""
     W = check_directions(directions, dataset.dim)
-    return DesignMatrix(relu(preactivations(dataset.inputs, W[:, :-1], W[:, -1])), W)
+    return relu(preactivations(dataset.inputs, W[:, :-1], W[:, -1]))
 
 
-def fit_outer_weights(design: DesignMatrix, targets) -> np.ndarray:
-    """Minimum-norm least-squares coefficients for design @ c ~= targets."""
+def fit_outer_weights(A, targets) -> np.ndarray:
+    """Minimum-norm least-squares coefficients for A @ c ~= targets."""
+    A = np.asarray(A, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64).ravel()
-    A = design.matrix
-    if A.shape[0] != targets.size:
-        raise ValueError("design row count must match target length")
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("targets must be finite")
+    if A.ndim != 2 or A.shape[0] != targets.size:
+        raise ValueError("design must be a 2-d matrix with one row per target")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(targets))):
+        raise ValueError("design and targets must be finite")
     if A.shape[1] == 0:
         return np.zeros(0)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
@@ -67,6 +42,5 @@ def fit_outer_weights(design: DesignMatrix, targets) -> np.ndarray:
 
 def refit_network(dataset: Dataset, directions) -> tuple[ShallowNetwork, np.ndarray]:
     """Network with least-squares outer weights for the given directions."""
-    design = assemble_design(dataset, directions)
-    c = fit_outer_weights(design, dataset.targets)
-    return ShallowNetwork(design.directions, c), c
+    c = fit_outer_weights(assemble_design(dataset, directions), dataset.targets)
+    return ShallowNetwork(directions, c), c

@@ -47,6 +47,8 @@ class TrainConfig:
             raise ValueError("initial_lr must be finite and positive")
         if not 0.0 <= self.decay_rate < math.inf:
             raise ValueError("decay_rate must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -112,6 +114,7 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.initial_lr * math.exp(-cfg.decay_rate * epoch)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the loss check below reports a divergence
 def train_params(params: NetParams, train_set: Dataset, cfg: TrainConfig) -> tuple[NetParams, np.ndarray]:
     """Mini-batch Adam loop on raw parameters; returns per-epoch train loss.
 
@@ -119,7 +122,8 @@ def train_params(params: NetParams, train_set: Dataset, cfg: TrainConfig) -> tup
     schedule and the step count t; their curve is (n_restarts, epochs).
     Minibatches are slices of a per-epoch shuffled copy of the data. The loss
     takes one restart at a time in one (n, N) buffer, at full batch the kernel's.
-    The first non-finite loss raises GsnError, naming its epoch.
+    The first non-finite loss raises GsnError, naming its epoch; numpy's
+    overflow and invalid-value warnings on the way there are not printed.
     """
     *lead, n_nodes, d = params.A.shape
     n_nets = math.prod(lead)

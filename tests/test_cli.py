@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -148,7 +149,8 @@ def test_training_overflow_exits_3_naming_the_stage(tmp_path, capsys, example, b
         argv = tiny_run_args(tmp_path, example, **overflow)
         prefix = f"numerical failure in stage {stage!r}: "
     capsys.readouterr()
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():  # numpy's overflow warnings would precede the message
+        warnings.simplefilter("error", RuntimeWarning)
         assert run_cli(*argv, "--epochs", "50") == 3
     err = capsys.readouterr().err
     divergence = r"training diverged: loss not finite after epoch (\d+) of 50\n"
@@ -616,6 +618,9 @@ def test_ridgelet_without_directions_exits_2(tmp_path, capsys):
     {"epochs": 10},
     {"gsn_batch": 5},
     {"target": "ex1"},
+    {"seed": -1},
+    {"gsn_train": {"seed": -5}},
+    {"random_train": {"seed": -1}},
 ])
 @pytest.mark.parametrize("example", ["ex1", "ex6"])
 def test_config_field_types_checked_before_any_work(tmp_path, capsys, monkeypatch, fields, example):
@@ -851,7 +856,8 @@ def test_greedy_rejects_nonpositive_nodes(tmp_path, capsys, nodes):
     assert not (out / "path.csv").exists() and not (out / "nodes.json").exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--epochs", "-1"), ("--batch", "0"), ("--batch", "-4")])
+@pytest.mark.parametrize("flag, value", [("--epochs", "-1"), ("--batch", "0"), ("--batch", "-4"),
+                                         ("--seed", "-1")])
 def test_train_rejects_bad_options(tmp_path, capsys, flag, value):
     out = staged_dictionary(tmp_path)
     network = tmp_path / "net.json"

@@ -201,7 +201,7 @@ def test_oga_run_residuals_strictly_decreasing(rng):
 def test_select_model_rules():
     def path_with_vals(vals):
         recs = tuple(
-            PathRecord(i + 1, i, 1.0 / (i + 1), 0.0, v) for i, v in enumerate(vals))
+            PathRecord(i + 1, i, 1.0 / (i + 1), v) for i, v in enumerate(vals))
         return GreedyPath(recs, "max_iter")
 
     assert select_model(path_with_vals([5.0, 4.0, 3.0, 2.0])) == 4

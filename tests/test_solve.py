@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from gsn.core import Dataset, ShallowNetwork, batch_eval
-from gsn.solve import DesignMatrix, assemble_design, fit_outer_weights, refit_network
+from gsn.solve import assemble_design, fit_outer_weights, refit_network
 
 from conftest import unit_rows
 
 
 def design(matrix):
-    matrix = np.asarray(matrix, dtype=np.float64)
-    return DesignMatrix(matrix, np.tile([1.0, 0.0], (matrix.shape[1], 1)))
+    return np.asarray(matrix, dtype=np.float64)
 
 
 def test_identity_design():
@@ -66,14 +65,14 @@ def test_dimension_mismatch():
 def test_assemble_design_zero_nodes():
     ds = Dataset(np.array([[0.0], [0.5]]), np.zeros(2), [[-1, 1]])
     dm = assemble_design(ds, ())
-    assert dm.matrix.shape == (2, 0)
+    assert dm.shape == (2, 0)
     assert fit_outer_weights(dm, ds.targets).shape == (0,)
 
 
 def test_assemble_design_constant_node():
     ds = Dataset(np.array([[-1.0], [0.0], [1.0]]), np.zeros(3), [[-1, 1]])
     dm = assemble_design(ds, [[0.0, 1.0]])
-    assert np.allclose(dm.matrix, 1.0)
+    assert np.allclose(dm, 1.0)
 
 
 def test_assemble_design_matches_batch_eval(rng):
@@ -82,7 +81,7 @@ def test_assemble_design_matches_batch_eval(rng):
     dm = assemble_design(ds, dirs)
     for j, dr in enumerate(dirs):
         net = ShallowNetwork(dr[None], [1.0])
-        assert np.array_equal(dm.matrix[:, j], batch_eval(net, ds.inputs))
+        assert np.array_equal(dm[:, j], batch_eval(net, ds.inputs))
 
 
 def test_refit_network_reproduces_targets_in_span(rng):
@@ -91,7 +90,7 @@ def test_refit_network_reproduces_targets_in_span(rng):
     net, c = refit_network(ds, dirs)
     pred = batch_eval(net, ds.inputs)
     dm = assemble_design(ds, dirs)
-    assert np.allclose(pred, dm.matrix @ c, atol=1e-10)
+    assert np.allclose(pred, dm @ c, atol=1e-10)
 
 
 def test_refit_matches_greedy_final_residual(rng):
