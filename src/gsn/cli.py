@@ -273,24 +273,34 @@ def cmd_train(args) -> int:
 
 def cmd_report(args) -> int:
     manifest_path = os.path.join(args.run, "manifest.json") if os.path.isdir(args.run) else args.run
-    doc = bench.load_manifest(_require_file(manifest_path, "manifest"))
-    results = doc.get("results", {})
-    print(f"target: {doc.get('config', {}).get('target_id')}")
-    print(f"dictionary: {results.get('dictionary_size_before_prune')} -> "
-          f"{results.get('dictionary_size_after_prune')} atoms")
-    if "errors" in results:
-        print(f"selected nodes: {results.get('selected_nodes')}")
-        for name, err in results["errors"].items():
-            print(f"  {name:16s} rel_l2={_number(err['rel_l2'])} rmse={_number(err['rmse'])}")
-    for row in results.get("random_restarts", []):
-        print(f"  restart {row['restart']}: test_rmse={_number(row['test_rmse'])} "
-              f"final_train_loss={_number(row['final_train_loss'])}")
-    for row in results.get("sweep", []):
-        if row.get("available"):
-            print(f"  N={row['n_nodes']:4d} gsn_init={_number(row['gsn_init']['rel_l2'])} "
-                  f"gsn_trained={_number(row['gsn_trained']['rel_l2'])} "
-                  f"random={_number(row['random_trained']['rel_l2'])}")
+    print("\n".join(_load(_report_lines, manifest_path, "manifest")))
     return EXIT_OK
+
+
+def _report_lines(path) -> list[str]:
+    """The report of a manifest, every line formatted before any is printed, so a
+    malformed entry fails (KeyError, TypeError or ValueError) before the first line."""
+    doc = bench.load_manifest(path)
+    try:
+        results = doc.get("results", {})
+        lines = [f"target: {doc.get('config', {}).get('target_id')}",
+                 f"dictionary: {results.get('dictionary_size_before_prune')} -> "
+                 f"{results.get('dictionary_size_after_prune')} atoms"]
+        if "errors" in results:
+            lines.append(f"selected nodes: {results.get('selected_nodes')}")
+            for name, err in results["errors"].items():
+                lines.append(f"  {name:16s} rel_l2={_number(err['rel_l2'])} rmse={_number(err['rmse'])}")
+        for row in results.get("random_restarts", []):
+            lines.append(f"  restart {row['restart']}: test_rmse={_number(row['test_rmse'])} "
+                         f"final_train_loss={_number(row['final_train_loss'])}")
+        for row in results.get("sweep", []):
+            if row.get("available"):
+                lines.append(f"  N={row['n_nodes']:4d} gsn_init={_number(row['gsn_init']['rel_l2'])} "
+                             f"gsn_trained={_number(row['gsn_trained']['rel_l2'])} "
+                             f"random={_number(row['random_trained']['rel_l2'])}")
+    except AttributeError as exc:  # .get or .items on a value that is not a JSON object
+        raise ValueError(f"expected a JSON object: {exc}") from exc
+    return lines
 
 
 def _number(value) -> str:

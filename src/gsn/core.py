@@ -25,7 +25,10 @@ UNIT_NORM_TOL = 1e-12
 # Values (rows x columns) per block of directions in the ridgelet field and
 # the dictionary build: block temporaries stay cache-sized and the heap reuses
 # them instead of page-faulting fresh ones (ex3 field, 2 cores: 0.14 s
-# unchunked, 0.07 s chunked on 2 threads).
+# unchunked, 0.07 s chunked on 2 threads). Blocks of 512 KiB sit below glibc's
+# dynamic mmap threshold once one has been freed, so they come from the heap,
+# and from each thread's own arena: a threaded ridgelet field leaves ~3 MiB
+# of freed blocks resident per worker until it trims them.
 BLOCK_BUDGET = 65_536
 
 

@@ -37,6 +37,7 @@ result is within 1e-15 relative for d = 2 ... 8.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -171,12 +172,30 @@ def _radial_profile(X: np.ndarray, dimension: int) -> np.ndarray:
     return g
 
 
+def _release_free_heap() -> None:
+    """Return freed heap pages to the OS, where the C library has ``malloc_trim``.
+
+    Each worker thread mallocs its chunk temporaries from its own glibc arena,
+    and after the pool joins those arenas keep the freed pages resident (ex3
+    field, 2 threads: ~6 MiB), under the dictionary build and greedy that
+    follow. glibc's malloc_trim(0) releases them from every arena; it frees
+    nothing live, so no value changes.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):     # TypeError: no CDLL(None) on Windows
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
 def collapsed_field(dataset: Dataset, directions, quad: RadialQuadrature | None = None,
                     threads: int = 1) -> CollapsedField:
     """Collapsed transform over a direction set, exact in r, chunked over directions.
 
     Results are written per-direction, so thread scheduling cannot change
-    them; ``threads`` only splits the direction axis.
+    them; ``threads`` only splits the direction axis. After a threaded run the
+    workers' freed heap goes back to the OS.
     """
     W = check_directions(directions, dataset.dim)
     A, b = W[:, :-1], W[:, -1]
@@ -197,6 +216,7 @@ def collapsed_field(dataset: Dataset, directions, quad: RadialQuadrature | None 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda s: run(*s), spans))
+        _release_free_heap()
     else:
         for lo, hi in spans:
             run(lo, hi)

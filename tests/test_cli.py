@@ -428,6 +428,22 @@ def test_report_command(tmp_path, capsys):
     assert "gsn_init" in out and "rel_l2" in out
 
 
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"results": []},
+    {"results": {"random_restarts": [1]}},
+    {"results": {"errors": {"gsn_init": {}}}},
+])
+def test_report_refuses_malformed_manifest(tmp_path, capsys, doc):
+    # the whole manifest is checked before the report prints its first line
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("report", str(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: malformed manifest file {path}: ")
+
+
 def test_bench_prune_flag_pairs_within_ten_percent(tmp_path):
     # desk-scale paired run: skipping the pruning stage must not move the
     # resulting error materially

@@ -193,15 +193,24 @@ def pointwise_sum(net, x):
     return total
 
 
+def dead_at_origin_network(rng, n_nodes, dim):
+    """Negative outer weights and negative biases: at x = 0 every node is dead, so
+    the output there is a sum of -0.0 terms, which node order from 0.0 makes +0.0."""
+    rows = unit_rows(rng, n_nodes, dim + 1)
+    rows[:, -1] = -np.abs(rows[:, -1])
+    return ShallowNetwork(rows, -np.abs(rng.standard_normal(n_nodes)))
+
+
 def test_batch_eval_point_blocks_match_pointwise(rng):
-    net = random_network(rng, 64, 3)
-    width = BLOCK_BUDGET // net.n_nodes  # points per block
-    X = rng.uniform(-2, 2, size=(width + 1, 3))
-    for n in (1, width - 1, width, width + 1):
-        out = batch_eval(net, X[:n])
-        expected = np.array([pointwise_sum(net, x) for x in X[:n]])
-        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64)), n
-        assert np.array_equal(out[-1:], batch_eval(net, X[n - 1:n])), n
+    for net in (random_network(rng, 64, 3), dead_at_origin_network(rng, 64, 3)):
+        width = BLOCK_BUDGET // net.n_nodes  # points per block
+        X = rng.uniform(-2, 2, size=(width + 1, 3))
+        X[3::7] = 0.0   # points in every block where the dead network is dead
+        for n in (1, width - 1, width, width + 1):
+            out = batch_eval(net, X[:n])
+            expected = np.array([pointwise_sum(net, x) for x in X[:n]])
+            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64)), n
+            assert np.array_equal(out[-1:], batch_eval(net, X[n - 1:n])), n
 
 
 def test_dataset_invariants():

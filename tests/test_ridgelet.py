@@ -1,4 +1,9 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +11,8 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc
 
-from gsn.core import Dataset
+from gsn import ridgelet
+from gsn.core import BLOCK_BUDGET, Dataset
 from gsn.ridgelet import (
     CollapsedField,
     RadialQuadrature,
@@ -188,12 +194,57 @@ def test_collapsed_relabeling_invariance(rng):
     assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
-def test_collapsed_threads_match_serial(rng):
-    ds = vector_dataset(rng.standard_normal(25))
-    dirs = sample_circle(64, seed=6)
-    serial = collapsed_field(ds, dirs, threads=1).values
-    threaded = collapsed_field(ds, dirs, threads=4).values
-    assert np.array_equal(serial, threaded)
+def test_collapsed_threads_match_serial(monkeypatch, rng):
+    # four chunks, so the threads share them; also where the C library has no
+    # malloc_trim, so the threaded field leaves its workers' freed heap as it is
+    ds = vector_dataset(rng.standard_normal(1000))
+    dirs = sample_circle(4 * (BLOCK_BUDGET // ds.n_points), seed=6)
+    serial = bits(collapsed_field(ds, dirs, threads=1).values)
+    assert np.array_equal(serial, bits(collapsed_field(ds, dirs, threads=4).values))
+    monkeypatch.setattr(ridgelet, "ctypes", SimpleNamespace(CDLL=lambda name: SimpleNamespace()))
+    assert np.array_equal(serial, bits(collapsed_field(ds, dirs, threads=4).values))
+
+
+def _has_malloc_trim():
+    try:
+        return hasattr(ctypes.CDLL(None), "malloc_trim")
+    except (OSError, TypeError):
+        return False
+
+
+HEAP_SCRIPT = """
+import os
+from gsn import bench, ridgelet, sampling
+
+cfg = bench.default_config("ex3", 0, dict_size=5_000)
+train_set = bench.make_datasets(cfg)[0]
+rows = sampling.live_rows(train_set, bench.make_directions(cfg), cfg.drop_tol)
+
+
+def rss_mib():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+before = rss_mib()
+ridgelet.collapsed_field(train_set, rows.directions, cfg.quadrature, threads=2)
+print(rss_mib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+@pytest.mark.skipif(not _has_malloc_trim(), reason="needs the C library's malloc_trim")
+def test_threaded_field_returns_worker_heap():
+    # a fresh process, so no earlier test has grown the allocator's arenas:
+    # the ex3 field on two threads leaves at most 3 MiB more resident than
+    # before it (each worker's arena kept ~3 MiB of freed chunk temporaries
+    # resident before the field handed them back)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ridgelet.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", HEAP_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 3.0
 
 
 def _field_for(dictionary, values):
