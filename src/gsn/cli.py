@@ -28,6 +28,10 @@ class CliError(Exception):
     """Bad arguments, missing inputs, or malformed artifacts."""
 
 
+class UsageError(CliError):
+    """A fault in the command line itself; only this kind is followed by the usage line."""
+
+
 def default_threads() -> int:
     env = os.environ.get("GSN_THREADS", "").strip()
     if env:
@@ -39,12 +43,6 @@ def default_threads() -> int:
             raise CliError("GSN_THREADS must be >= 1")
         return n
     return os.cpu_count() or 1
-
-
-def _require_file(path: str, role: str) -> str:
-    if not os.path.isfile(path):
-        raise CliError(f"missing {role} file: {path}")
-    return path
 
 
 def available_memory_bytes() -> int | None:
@@ -70,9 +68,11 @@ def check_dictionary_fits(n_train: int, n_directions: int) -> None:
 
 
 def _load(loader, path: str, role: str, *args):
-    """Run an artifact loader; a malformed file exits 2 with a message naming it."""
+    """Run an artifact loader; a missing or malformed file exits 2 with a message naming it."""
+    if not os.path.isfile(path):
+        raise CliError(f"missing {role} file: {path}")
     try:
-        return loader(_require_file(path, role), *args)
+        return loader(path, *args)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"malformed {role} file {path}: {exc}") from exc
 
@@ -90,8 +90,9 @@ def load_experiment_config(path: str | None, target_id: str | None = None,
         doc = doc["config"]
     try:
         cfg = bench.config_from_dict({"threads": default_threads(), **doc}, target_id, seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    except ValueError as exc:  # a fault of the command line's example id or seed, else of the file
+        from_argv = not path or target_id not in (None, *bench.EXAMPLE_IDS) or (seed or 0) < 0
+        raise (UsageError if from_argv else CliError)(str(exc)) from exc
     return cfg, doc
 
 
@@ -102,7 +103,7 @@ def _with_flags(obj, args, flags: dict):
     try:
         return replace(obj, **given)
     except ValueError as exc:
-        raise CliError(f"invalid {' '.join(flags[field] for field in given)}: {exc}") from exc
+        raise UsageError(f"invalid {' '.join(flags[field] for field in given)}: {exc}") from exc
 
 
 def build_experiment_config(args) -> tuple[bench.ExperimentConfig, dict]:
@@ -115,9 +116,10 @@ def build_experiment_config(args) -> tuple[bench.ExperimentConfig, dict]:
                   random_train=_with_flags(cfg.random_train, args, train_flags))
     cfg = _with_flags(cfg, args, {"n_nodes": "--nodes", "n_restarts": "--restarts",
                                   "threads": "--threads", "prune": "--no-prune"})
-    if cfg.target_id == "ex6" and cfg.n_nodes is not None:
-        raise CliError("ex6 runs a node-count sweep, which takes no n_nodes (--nodes); "
-                       "set its sizes with the config field node_counts")
+    if cfg.target_id == "ex6" and cfg.n_nodes is not None:  # from --nodes or the file
+        raise (CliError if args.n_nodes is None else UsageError)(
+            "ex6 runs a node-count sweep, which takes no n_nodes (--nodes); "
+            "set its sizes with the config field node_counts")
     resolved = cfg.to_dict()
     if cfg.target_id == "ex6":
         resolved["node_counts"] = doc.get("node_counts", list(bench.EX6_SWEEP_DEFAULT))
@@ -262,7 +264,7 @@ def cmd_train(args) -> int:
         try:
             cfg = replace(cfg, seed=sampling.substream_seed(args.seed, "shuffle"))
         except ValueError as exc:
-            raise CliError(f"invalid --seed: {exc}") from exc
+            raise UsageError(f"invalid --seed: {exc}") from exc
     net, curve = train.train(net0, train_set, cfg)
     save_network(net, args.out)
     if args.loss_out:
@@ -386,7 +388,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        if isinstance(exc, UsageError):
+            parser.print_usage(sys.stderr)
         return EXIT_CONFIG
     except (KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,9 @@ Q of the current span, that residual drop equals
 
 so the argmin reduces to an argmax of cached quantities: per-atom residual
 correlations and cumulative basis energies, both updated with one matrix-
-vector product per iteration. New basis vectors are built with classical
-Gram-Schmidt plus one correction pass, which keeps the basis orthonormal to
-near machine precision over hundreds of iterations.
+vector product per iteration. New basis vectors are built with two passes of
+classical Gram-Schmidt, both taking their coefficients from the basis, which
+keeps it orthonormal to near machine precision over hundreds of iterations.
 
 Validation scoring runs through the same basis, with no triangular solve
 for outer weights. Step m builds q_m = (g_j - Q c) / nu from the Gram-Schmidt
@@ -81,7 +81,6 @@ class GreedyState:
         m_cap = min(max_iter, n, dictionary.n_atoms)
         self.ortho_basis = np.empty((n, m_cap))         # Q, columns q_1..q_m
         self.last_step: tuple[np.ndarray, float, float] | None = None
-        self._basis_atom = np.empty((m_cap, dictionary.n_atoms))  # <q_j, g> rows
         self.atom_energy = np.zeros(dictionary.n_atoms)
         self.atom_score_cache = dictionary.features.T @ self.residual
         self._eligible = np.ones(dictionary.n_atoms, dtype=bool)
@@ -122,17 +121,15 @@ def oga_step(state: GreedyState, dictionary: Dictionary) -> tuple[GreedyState, i
     scores = np.where(candidates, state.atom_score_cache**2 / np.maximum(deficit, SPAN_TOL), -np.inf)
     j = int(np.argmax(scores))  # first (lowest-index) maximum on ties
 
-    Q = state.ortho_basis
     g = dictionary.features[:, j]
 
-    # classical Gram-Schmidt using the cached projections, plus one
-    # correction pass to hold orthogonality over long runs
-    coeff = state._basis_atom[:m, j].copy()
-    v = g - Q[:, :m] @ coeff if m else g.copy()
-    corr = Q[:, :m].T @ v if m else np.zeros(0)
-    if m:
-        v -= Q[:, :m] @ corr
-        coeff += corr
+    # classical Gram-Schmidt twice, both passes projecting on the basis
+    Qm = state.ortho_basis[:, :m]
+    coeff = Qm.T @ g
+    v = g - Qm @ coeff
+    corr = Qm.T @ v
+    v -= Qm @ corr
+    coeff += corr
     vnorm = float(np.linalg.norm(v))
     if vnorm <= SPAN_TOL:
         # numerically inside the span despite the energy deficit; retire it
@@ -149,11 +146,10 @@ def oga_step(state: GreedyState, dictionary: Dictionary) -> tuple[GreedyState, i
             f"residual norm increased: {state.residual_norm:.17e} -> {new_norm:.17e}")
     state.residual_norm = min(new_norm, state.residual_norm)
 
-    Q[:, m] = q
+    state.ortho_basis[:, m] = q
     state.last_step = (coeff, vnorm, alpha)
 
     c_new = dictionary.features.T @ q
-    state._basis_atom[m] = c_new
     state.atom_energy += c_new**2
     state.atom_score_cache -= alpha * c_new
     state._eligible[j] = False

@@ -442,6 +442,15 @@ def test_report_refuses_malformed_manifest(tmp_path, capsys, doc):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: malformed manifest file {path}: ")
+    assert err.count("\n") == 1  # a fault of the file, not of the command line: no usage line
+
+
+def test_report_of_missing_manifest_prints_one_line(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    assert run_cli("report", str(path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: missing manifest file: {path}\n"
 
 
 def test_bench_prune_flag_pairs_within_ten_percent(tmp_path):
@@ -660,7 +669,9 @@ def assert_config_refused(tmp_path, capsys, monkeypatch, example, fields):
     cfgp.write_text(json.dumps(fields))
     out = tmp_path / "out"
     assert run_cli("bench", example, "--config", str(cfgp), "--out", str(out)) == 2
-    assert next(iter(fields)) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert next(iter(fields)) in err
+    assert "usage" not in err  # a fault of the file, not of the command line
     assert not out.exists()
 
 
@@ -857,7 +868,9 @@ def test_bench_ex6_refuses_nodes_flag(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr(bench, "make_datasets", never)
     out = tmp_path / "out"
     assert run_cli(command, "ex6", "--nodes", "5", "--out", str(out)) == 2
-    assert "node_counts" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "node_counts" in err
+    assert "\nusage: gsn " in err  # a fault of the command line
     assert not out.exists()
 
 
@@ -868,7 +881,9 @@ def test_greedy_rejects_nonpositive_nodes(tmp_path, capsys, nodes):
                    "--dict", str(out / "dictionary.csv"), "--nodes", nodes,
                    "--out", str(out / "path.csv"), "--nodes-out", str(out / "nodes.json"))
     assert code == 2
-    assert "--nodes" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--nodes" in err
+    assert "\nusage: gsn " in err  # a fault of the command line
     assert not (out / "path.csv").exists() and not (out / "nodes.json").exists()
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,22 @@ def test_step_past_max_iter_raises(rng):
     with pytest.raises(ValueError, match="sized for 10 steps"):
         oga_step(state, dic)
     assert state.n_selected == 10
+
+
+def test_oga_run_memory_independent_of_max_iter_times_atoms(rng):
+    # greedy's working set is the n_train x max_iter basis plus vectors over the
+    # atoms; a per-step record over every atom would take max_iter x n_atoms floats
+    n_train, n_atoms, max_iter = 128, 20_000, 100
+    dic = synthetic_dictionary(unit_rows(rng, n_atoms, n_train).T)
+    ds = vector_dataset(rng.standard_normal(n_train))
+    tracemalloc.start()
+    try:
+        path = oga_run(dic, ds, ds, max_iter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(path) == max_iter
+    assert peak < max_iter * n_atoms * 8 / 4
 
 
 def test_path_csv_export(tmp_path, rng):
