@@ -131,12 +131,13 @@ class ExperimentConfig:
     drop_tol: float = 1e-12
     max_iter: int = 50
     n_nodes: int | None = None      # overrides validation-based selection when set
+    node_counts: tuple | None = None  # the sizes of a node-count sweep (ex6)
     gsn_train: TrainConfig = field(default_factory=TrainConfig)
     random_train: TrainConfig = field(default_factory=TrainConfig)
     n_restarts: int = 10
     seed: int = 0
     quad_r_max: float = 40.0
-    threads: int = 1
+    threads: int = 1                # worker threads: recorded in meta, not in to_dict()
     notes: tuple = ()
 
     def __post_init__(self):
@@ -148,6 +149,12 @@ class ExperimentConfig:
             raise ValueError("max_iter must be >= 1")
         if self.n_nodes is not None and self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
+        if self.node_counts is not None:
+            object.__setattr__(self, "node_counts", tuple(self.node_counts))
+            if not (self.node_counts and all(type(n) is int and n > 0 for n in self.node_counts)):
+                raise ValueError("node_counts must be a non-empty list of positive integers")
+            if self.n_nodes is not None:
+                raise ValueError("n_nodes fixes one node count; a sweep sets its sizes with node_counts")
         if not 0.0 <= self.prune_threshold < 1.0:
             raise ValueError("prune_threshold must lie in [0, 1)")
         if not 0.0 <= self.drop_tol < math.inf:
@@ -165,9 +172,10 @@ class ExperimentConfig:
         return RadialQuadrature(self.quad_r_max)
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["notes"] = list(self.notes)
-        return doc
+        """The config document of a manifest or config.json, whose hash names the run
+        directory: every field but ``threads``, a runtime setting that changes no value."""
+        return {k: list(v) if type(v) is tuple else v
+                for k, v in asdict(self).items() if k != "threads"}
 
 
 # Per-target default budgets: (n_train, n_val, n_test, gsn_batch, random_batch,
@@ -208,6 +216,7 @@ def default_config(target_id: str, seed: int = 0, **overrides) -> ExperimentConf
         random_train=TrainConfig(epochs=10_000, batch_size=rnd_batch, seed=shuffle_seed),
         n_restarts=n_restarts,
         seed=seed,
+        node_counts=EX6_SWEEP_DEFAULT if target_id == "ex6" else None,
         notes=notes,
     )
     kwargs.update(overrides)
@@ -354,7 +363,7 @@ class ExperimentReport:
     def manifest(self) -> dict:
         """Deterministic results document; volatile data stays under 'meta'."""
         return {
-            "meta": _meta(self.base.timings),
+            "meta": _meta(self.config, self.base.timings),
             "config": self.config.to_dict(),
             "results": {
                 "dictionary_size_before_prune": self.base.dictionary_size_before,
@@ -371,9 +380,10 @@ class ExperimentReport:
         }
 
 
-def _meta(timings: dict) -> dict:
+def _meta(cfg: ExperimentConfig, timings: dict) -> dict:
     return {
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "threads": cfg.threads,
         "timings_sec": {k: round(v, 6) for k, v in timings.items()},
     }
 
@@ -386,16 +396,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 @dataclass
 class SweepReport:
     config: ExperimentConfig
-    node_counts: tuple
     runs: list              # SizeRun per node count, None past the path's length
     base: Construction
 
     def manifest(self) -> dict:
         rows = [{"n_nodes": n, "available": run is not None, **(run.errors() if run else {})}
-                for n, run in zip(self.node_counts, self.runs)]
+                for n, run in zip(self.config.node_counts, self.runs)]
         return {
-            "meta": _meta(self.base.timings),
-            "config": {**self.config.to_dict(), "node_counts": list(self.node_counts)},
+            "meta": _meta(self.config, self.base.timings),
+            "config": self.config.to_dict(),
             "results": {
                 "dictionary_size_before_prune": self.base.dictionary_size_before,
                 "dictionary_size_after_prune": self.base.dictionary_size_after,
@@ -405,13 +414,13 @@ class SweepReport:
         }
 
 
-def node_sweep(cfg: ExperimentConfig, node_counts) -> SweepReport:
-    """Truncate one greedy path at each size and train both branches there."""
-    node_counts = tuple(int(n) for n in node_counts)
-    cfg = replace(cfg, max_iter=max(cfg.max_iter, max(node_counts)))  # hashed and recorded as run
+def node_sweep(cfg: ExperimentConfig) -> SweepReport:
+    """Truncate one greedy path at each of ``cfg.node_counts`` and train both branches
+    there. ``max_iter`` is raised to the largest count, in the config hashed and recorded too."""
+    cfg = replace(cfg, max_iter=max(cfg.max_iter, max(cfg.node_counts)))
     base = run_gsn_pipeline(cfg)
-    runs = [run_size(cfg, base, n) if n <= len(base.path) else None for n in node_counts]
-    return SweepReport(cfg, node_counts, runs, base)
+    runs = [run_size(cfg, base, n) if n <= len(base.path) else None for n in cfg.node_counts]
+    return SweepReport(cfg, runs, base)
 
 
 # --- artifact writing ---------------------------------------------------
@@ -456,14 +465,14 @@ def write_run_artifacts(report: ExperimentReport, out_root) -> str:
 
 def write_sweep_artifacts(report: SweepReport, out_root) -> str:
     """Manifest, path and sweep CSV, under <out>/<target>-sweep-<config hash>/."""
-    manifest = report.manifest()  # its config object holds the node counts
+    manifest = report.manifest()
     run_dir = os.path.join(out_root, f"{report.config.target_id}-sweep-{config_hash(manifest['config'])}")
     os.makedirs(run_dir, exist_ok=True)
     greedy.save_path_csv(report.base.path, os.path.join(run_dir, "path.csv"))
     branches = ("gsn_init", "gsn_trained", "random_trained")
     write_csv_table(os.path.join(run_dir, "sweep.csv"),
                     ["n_nodes"] + [f"{b}_rel_l2" for b in branches],
-                    [list(report.node_counts),
+                    [list(report.config.node_counts),
                      *([getattr(run, b).rel_l2 if run else None for run in report.runs]
                        for b in branches)])
     write_json(manifest, os.path.join(run_dir, "manifest.json"))
@@ -481,23 +490,21 @@ def config_from_dict(doc: dict, target_id: str | None = None,
 
     The document is laid over ``default_config(target_id, seed)``; the
     arguments win over its own ``target_id`` and ``seed``, and an explicit
-    ``seed`` re-derives both shuffle seeds too. Keys and JSON types (and an
-    ex6 sweep's ``node_counts``) are checked here, values by the dataclasses.
+    ``seed`` re-derives both shuffle seeds too. Keys and JSON types are
+    checked here, and that ex6, and only ex6, sweeps ``node_counts``; values
+    are checked by the dataclasses. A ``threads`` key sets the worker count.
     Every fault raises ValueError.
     """
     target_id = target_id or doc.get("target_id")
     if target_id not in _DEFAULTS:
         raise ValueError(f"unknown example id {target_id!r}: give one of {', '.join(_DEFAULTS)} "
                          "as the config's target_id or on the command line")
-    if "node_counts" in doc and target_id != "ex6":
-        raise ValueError("config field 'node_counts' sets the sizes of an ex6 sweep; "
-                         f"{target_id} takes none")
-    counts = doc.get("node_counts", [1])
-    if not (type(counts) is list and counts and all(type(n) is int and n > 0 for n in counts)):
-        raise ValueError("config field 'node_counts' must be a non-empty list of positive integers")
     master_seed = _json_value("seed", int, doc.get("seed", 0)) if seed is None else seed
     base = default_config(target_id, seed=master_seed)
-    cfg = _laid_over(base, {k: v for k, v in doc.items() if k not in ("target_id", "node_counts")})
+    cfg = _laid_over(base, {k: v for k, v in doc.items() if k != "target_id"})
+    if (cfg.node_counts is None) == (target_id == "ex6"):
+        raise ValueError("config field 'node_counts' sets the sizes of the ex6 sweep; "
+                         f"{target_id} takes {'a list' if target_id == 'ex6' else 'none'}")
     if seed is not None:
         cfg = replace(cfg, seed=seed, gsn_train=replace(cfg.gsn_train, seed=base.gsn_train.seed),
                       random_train=replace(cfg.random_train, seed=base.random_train.seed))
@@ -525,7 +532,7 @@ def _laid_over(base, doc: dict, where: str = ""):
 
 def _json_value(name: str, want, value):
     """A JSON value checked against a field's type: ints pass as floats, lists as tuples."""
-    allowed = (list,) if want is tuple else typing.get_args(want) or (want,)
+    allowed = tuple(list if t is tuple else t for t in typing.get_args(want) or (want,))
     if float in allowed and type(value) is int:
         return float(value)
     if type(value) not in allowed:

@@ -78,80 +78,70 @@ def _load(loader, path: str, role: str, *args):
 
 
 def load_experiment_config(path: str | None, target_id: str | None = None,
-                           seed: int | None = None) -> tuple[bench.ExperimentConfig, dict]:
-    """The config file laid over the example defaults, and the config document.
-    The file holds a full or partial manifest 'config' object, or a whole manifest,
-    whose 'config' object is read. A file that sets no thread count gets
-    GSN_THREADS or the CPU count."""
+                           seed: int | None = None) -> bench.ExperimentConfig:
+    """The config file laid over the example defaults. The file holds a full or
+    partial manifest 'config' object, or a whole manifest, whose 'config' object
+    is read. Its ``threads``, which an older file may hold, sets the worker count
+    alone; a file without one gets GSN_THREADS or the CPU count."""
+    if not (path or target_id):
+        raise UsageError(f"give an example id ({', '.join(bench.EXAMPLE_IDS)}) or a --config file")
     doc = _load(bench.load_manifest, path, "config") if path else {}
     if not isinstance(doc, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     if "config" in doc and set(doc) <= {"meta", "config", "results"}:
         doc = doc["config"]
     try:
-        cfg = bench.config_from_dict({"threads": default_threads(), **doc}, target_id, seed)
+        return bench.config_from_dict({"threads": default_threads(), **doc}, target_id, seed)
     except ValueError as exc:  # a fault of the command line's example id or seed, else of the file
-        from_argv = not path or target_id not in (None, *bench.EXAMPLE_IDS) or (seed or 0) < 0
-        raise (UsageError if from_argv else CliError)(str(exc)) from exc
-    return cfg, doc
+        if (seed or 0) < 0:
+            raise UsageError(f"invalid --seed: {exc}") from exc
+        raise (CliError if target_id in (None, *bench.EXAMPLE_IDS) else UsageError)(str(exc)) from exc
 
 
 def _with_flags(obj, args, flags: dict):
     """``obj`` with the fields of the flags given replaced, checked by its own
     __post_init__; ``flags`` maps each field to its flag, whose dest it is."""
-    given = {field: getattr(args, field) for field in flags if getattr(args, field) is not None}
+    given = {field: getattr(args, field) for field in flags if getattr(args, field, None) is not None}
     try:
         return replace(obj, **given)
     except ValueError as exc:
         raise UsageError(f"invalid {' '.join(flags[field] for field in given)}: {exc}") from exc
 
 
-def build_experiment_config(args) -> tuple[bench.ExperimentConfig, dict]:
-    """The config of `gsn bench`/`gsn sample`: file, then flags; an ex6 config with
-    n_nodes is refused. Also returns the document `gsn sample` writes,
-    ``to_dict()`` plus an ex6 sweep's node counts."""
-    cfg, doc = load_experiment_config(args.config, args.example, args.seed)
+def build_experiment_config(args) -> bench.ExperimentConfig:
+    """The config of `gsn bench`/`gsn sample`: file, then flags (`gsn sample` has no --threads)."""
+    cfg = load_experiment_config(args.config, args.example, args.seed)
     train_flags = {"epochs": "--epochs", "batch_size": "--batch"}
     cfg = replace(cfg, gsn_train=_with_flags(cfg.gsn_train, args, train_flags),
                   random_train=_with_flags(cfg.random_train, args, train_flags))
-    cfg = _with_flags(cfg, args, {"n_nodes": "--nodes", "n_restarts": "--restarts",
-                                  "threads": "--threads", "prune": "--no-prune"})
-    if cfg.target_id == "ex6" and cfg.n_nodes is not None:  # from --nodes or the file
-        raise (CliError if args.n_nodes is None else UsageError)(
-            "ex6 runs a node-count sweep, which takes no n_nodes (--nodes); "
-            "set its sizes with the config field node_counts")
-    resolved = cfg.to_dict()
-    if cfg.target_id == "ex6":
-        resolved["node_counts"] = doc.get("node_counts", list(bench.EX6_SWEEP_DEFAULT))
-    return cfg, resolved
+    return _with_flags(cfg, args, {"n_nodes": "--nodes", "n_restarts": "--restarts",
+                                   "threads": "--threads", "prune": "--no-prune"})
 
 
 def _stage_config(args) -> bench.ExperimentConfig:
     """A stage's config: its --config file, else the ExperimentConfig defaults (the
     example and sizes are placeholders), with the stage's flags (``args.flags``)."""
     if args.config:
-        cfg = load_experiment_config(args.config)[0]
+        cfg = load_experiment_config(args.config)
     else:
         cfg = bench.ExperimentConfig(bench.EXAMPLE_IDS[0], 1, 1, 1, 1, threads=default_threads())
     return _with_flags(cfg, args, args.flags)
 
 
 def cmd_bench(args) -> int:
-    cfg, doc = build_experiment_config(args)
+    cfg = build_experiment_config(args)
     check_dictionary_fits(cfg.n_train, cfg.dict_size)
     os.makedirs(args.out, exist_ok=True)
-    if cfg.target_id == "ex6":
-        report = bench.node_sweep(cfg, doc["node_counts"])
-        run_dir = bench.write_sweep_artifacts(report, args.out)
+    if cfg.target_id == "ex6":  # a node-count sweep
+        run_dir = bench.write_sweep_artifacts(bench.node_sweep(cfg), args.out)
     else:
-        report = bench.run_experiment(cfg)
-        run_dir = bench.write_run_artifacts(report, args.out)
+        run_dir = bench.write_run_artifacts(bench.run_experiment(cfg), args.out)
     print(f"wrote {run_dir}/manifest.json")
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    cfg, doc = build_experiment_config(args)
+    cfg = build_experiment_config(args)
     os.makedirs(args.out, exist_ok=True)
     train_set, val_set, test_set = bench.make_datasets(cfg)
     directions = bench.make_directions(cfg)
@@ -159,7 +149,7 @@ def cmd_sample(args) -> int:
     sampling.save_dataset_csv(val_set, os.path.join(args.out, "val.csv"))
     sampling.save_dataset_csv(test_set, os.path.join(args.out, "test.csv"))
     sampling.save_directions_csv(directions, os.path.join(args.out, "directions.csv"))
-    bench.write_json(doc, os.path.join(args.out, "config.json"))
+    bench.write_json(cfg.to_dict(), os.path.join(args.out, "config.json"))
     print(f"wrote config.json, datasets and {len(directions)} directions to {args.out}")
     return EXIT_OK
 
@@ -255,7 +245,7 @@ def cmd_train(args) -> int:
         raise CliError(f"network {args.network} has input dimension {net0.input_dim}; "
                        f"the training set has {train_set.dim}")
     if args.config:
-        base = load_experiment_config(args.config)[0].gsn_train
+        base = load_experiment_config(args.config).gsn_train
     else:  # full batch, shuffled from the default master seed
         base = train.TrainConfig(batch_size=train_set.n_points, seed=sampling.substream_seed(
             bench.ExperimentConfig.seed, "shuffle"))
@@ -331,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random-init restarts")
         p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
         p.add_argument("--config", default=None, help=config_help)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: GSN_THREADS or CPU count)")
+        if name == "bench":  # gsn sample runs no worker threads
+            p.add_argument("--threads", type=int, default=None,
+                           help="worker threads (default: GSN_THREADS or CPU count)")
         p.add_argument("--out", default="runs", help="output directory")
         p.set_defaults(fn=fn)
 

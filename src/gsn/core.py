@@ -252,14 +252,14 @@ def batch_eval(net: ShallowNetwork, inputs) -> np.ndarray:
 
 def write_csv_table(path, header, columns, comment: str | None = None) -> None:
     """The CSV artifact format: an optional leading ``# comment`` line, the
-    header, then one row per entry of the equal-length ``columns``. A cell is
-    the ``repr`` of its ``tolist()`` value, so floats round-trip bit for bit;
-    ``None`` is an empty cell."""
+    header, then one row per entry of the equal-length ``columns``, each line
+    ending in LF. A cell is the ``repr`` of its ``tolist()`` value, so floats
+    round-trip bit for bit; ``None`` is an empty cell."""
     values = [np.asarray(col).tolist() for col in columns]
     with open(path, "w", newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(["" if v is None else repr(v) for v in row] for row in zip(*values))
 

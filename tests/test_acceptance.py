@@ -334,7 +334,8 @@ def test_criterion_10_example6_sweep():
     cfg = bench.config_from_dict({**doc, "max_iter": 160, "n_restarts": 5,
                                   "gsn_train": {**doc["gsn_train"], "epochs": 2000},
                                   "random_train": {**doc["random_train"], "epochs": 2000}})
-    sweep = bench.node_sweep(cfg, (10, 20, 40, 80, 160))
+    assert cfg.node_counts == (10, 20, 40, 80, 160)
+    sweep = bench.node_sweep(cfg)
     assert None not in sweep.runs
     wins = sum(r.gsn_trained.rel_l2 <= r.random_trained.rel_l2 for r in sweep.runs)
     elapsed = time.perf_counter() - t0

@@ -160,15 +160,15 @@ def test_baseline_untrained_error_is_large():
 
 def test_node_sweep_lengths_and_singleton():
     cfg = tiny_config(max_iter=8)
-    sweep = node_sweep(cfg, [2, 4, 6])
+    sweep = node_sweep(replace(cfg, node_counts=[2, 4, 6]))
     assert [run.n_nodes for run in sweep.runs] == [2, 4, 6]
     # a one-point sweep is a single run at that fixed node count, to the bit
-    (single,) = node_sweep(cfg, [4]).runs
+    (single,) = node_sweep(replace(cfg, node_counts=[4])).runs
     fixed = run_experiment(replace(cfg, n_nodes=4)).run
     for branch in ("gsn_init", "gsn_trained", "random_trained"):
         assert getattr(single, branch) == getattr(fixed, branch), branch
     # a sweep point beyond the path length is reported unavailable
-    over = node_sweep(cfg, [4, 500])
+    over = node_sweep(replace(cfg, node_counts=[4, 500]))
     assert over.runs[1] is None
     assert [row["available"] for row in over.manifest()["results"]["sweep"]] == [True, False]
 
@@ -178,7 +178,7 @@ def test_sweep_manifest_sums_baseline_time(monkeypatch):
     # so a stage that runs at each of the two available sizes records 2 s
     clock = itertools.count()
     monkeypatch.setattr(bench.time, "perf_counter", lambda: float(next(clock)))
-    doc = node_sweep(tiny_config(max_iter=8), [2, 4, 500]).manifest()
+    doc = node_sweep(tiny_config(max_iter=8, node_counts=[2, 4, 500])).manifest()
     assert doc["meta"]["timings_sec"] == {
         "sample": 1.0, "directions": 1.0, "scan": 1.0, "ridgelet": 1.0, "prune": 1.0,
         "dict": 1.0, "greedy": 1.0, "fit": 2.0, "train": 2.0, "baseline": 2.0}
@@ -189,8 +189,8 @@ def test_node_sweep_records_the_max_iter_it_ran_with(tmp_path):
     # differ only below that run the same sweep, under one name
     for max_iter in (2, 6):
         cfg = tiny_config(target_id="ex6", n_train=40, dict_size=300, max_iter=max_iter,
-                          prune=False, n_restarts=1)
-        run_dir = write_sweep_artifacts(node_sweep(cfg, [3, 6]), tmp_path)
+                          prune=False, n_restarts=1, node_counts=[3, 6])
+        run_dir = write_sweep_artifacts(node_sweep(cfg), tmp_path)
         with open(f"{run_dir}/manifest.json") as fh:
             assert json.load(fh)["config"]["max_iter"] == 6
     assert len(list(tmp_path.iterdir())) == 1

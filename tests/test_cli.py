@@ -23,7 +23,7 @@ def run_cli(*argv):
 
 def bench_args(tmp_path, *extra):
     return ["bench", "ex1", "--seed", "0", "--out", str(tmp_path),
-            "--epochs", "2", "--restarts", "1", "--threads", "1",
+            "--epochs", "2", "--restarts", "1",
             "--config", str(write_tiny_config(tmp_path))] + list(extra)
 
 
@@ -72,7 +72,20 @@ def test_bench_unknown_example(tmp_path, capsys):
 
 
 def test_bench_requires_example(tmp_path, capsys):
-    assert run_cli("bench", "--out", str(tmp_path)) == 2
+    for command in ("bench", "sample"):
+        assert run_cli(command, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: give an example id (ex1, ex2, ex3, ex4, ex5, ex6) "
+                              "or a --config file\nusage: gsn "), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "sample"])
+def test_bench_negative_seed_names_the_flag(tmp_path, capsys, command):
+    assert run_cli(command, "ex1", "--seed", "-1", "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid --seed: seed must be >= 0\nusage: gsn ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_validation(tmp_path, capsys):
@@ -121,7 +134,7 @@ def tiny_run_args(tmp_path, example, **fields):
     if example == "ex6":
         fields = {"n_train": 40, **fields}
     cfgp = write_tiny_config(tmp_path, **fields)
-    return ["bench", example, "--seed", "0", "--epochs", "2", "--restarts", "1", "--threads", "1",
+    return ["bench", example, "--seed", "0", "--epochs", "2", "--restarts", "1",
             "--config", str(cfgp), "--out", str(tmp_path / "out")]
 
 
@@ -238,8 +251,7 @@ def check_stage_chain_matches_bench(tmp_path, example, epochs, *flags):
     given the sample's config.json and no value flag, writes the same bytes as the
     bench run of the same call: the field (when pruning), the greedy path, the
     initial and trained networks and the loss curve. Returns the bench results."""
-    call = [example, "--seed", "3", "--epochs", str(epochs), "--restarts", "1",
-            "--threads", "1", *flags]
+    call = [example, "--seed", "3", "--epochs", str(epochs), "--restarts", "1", *flags]
     bench_out = tmp_path / "bench"
     assert run_cli("bench", *call, "--out", str(bench_out)) == 0
     (run_dir,) = bench_out.iterdir()
@@ -302,8 +314,7 @@ from gsn import cli
 loaded = [name for name, mod in sys.modules.items() if name.startswith("scipy") and mod]
 assert not loaded, loaded
 out, cfg = sys.argv[1:]
-call = ["ex3", "--seed", "0", "--epochs", "2", "--restarts", "1", "--threads", "1",
-        "--config", cfg]
+call = ["ex3", "--seed", "0", "--epochs", "2", "--restarts", "1", "--config", cfg]
 assert cli.main(["bench", *call, "--out", out + "/bench"]) == 0
 s = out + "/stage"
 assert cli.main(["sample", *call, "--out", s]) == 0
@@ -341,7 +352,7 @@ def test_bench_config_round_trip(tmp_path, source):
         assert run_cli("bench", *argv, "--out", str(out)) == 0
         return [p.name for p in out.iterdir()]
 
-    call = ["ex1", "--seed", "3", "--epochs", "2", "--restarts", "1", "--threads", "1",
+    call = ["ex1", "--seed", "3", "--epochs", "2", "--restarts", "1",
             "--config", str(write_tiny_config(tmp_path))]
     original = bench_dir(tmp_path / "a", *call)
     if source == "sample":
@@ -355,11 +366,91 @@ def test_bench_config_round_trip(tmp_path, source):
     assert bench_dir(tmp_path / "d", "--config", str(cfgp), "--seed", "4") == reseeded != original
 
 
+def test_bench_run_is_the_same_at_any_thread_count(tmp_path, monkeypatch):
+    # the thread count, from --threads or GSN_THREADS, is a runtime setting: the
+    # manifest's meta records it, and no other byte of the run directory holds it
+    runs = []
+    for name, flags, env in (("a", ["--threads", "1"], None), ("b", ["--threads", "2"], None),
+                             ("c", [], "3")):
+        monkeypatch.delenv("GSN_THREADS", raising=False)
+        if env:
+            monkeypatch.setenv("GSN_THREADS", env)
+        out = tmp_path / name
+        out.mkdir()
+        assert run_cli(*bench_args(out, *flags)) == 0
+        (run_dir,) = [p for p in out.iterdir() if p.is_dir()]
+        runs.append(run_dir)
+    assert len({run_dir.name for run_dir in runs}) == 1
+    manifests = [bench.load_manifest(run_dir / "manifest.json") for run_dir in runs]
+    assert [m["meta"]["threads"] for m in manifests] == [1, 2, 3]
+    assert all(bench.strip_meta(m) == bench.strip_meta(manifests[0]) for m in manifests)
+    assert "threads" not in manifests[0]["config"]
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert "field.csv" in names  # pruning on: the field ran on each thread count
+    for run_dir in runs[1:]:
+        assert sorted(p.name for p in run_dir.iterdir()) == names
+        for name in names:
+            if name != "manifest.json":
+                assert (run_dir / name).read_bytes() == (runs[0] / name).read_bytes(), name
+
+
+def test_config_file_threads_sets_only_the_worker_count(tmp_path, monkeypatch):
+    # a file written while the config object held threads still loads: its value
+    # beats GSN_THREADS as the worker count, and is neither written back nor hashed
+    monkeypatch.setenv("GSN_THREADS", "2")
+    manifests = []
+    for name, fields in (("a", {}), ("b", {"threads": 1})):
+        out = tmp_path / name
+        assert run_cli("bench", "ex1", "--epochs", "2", "--restarts", "1", "--out", str(out),
+                       "--config", str(write_tiny_config(tmp_path, **fields))) == 0
+        (run_dir,) = out.iterdir()
+        manifests.append((run_dir.name, bench.load_manifest(run_dir / "manifest.json")))
+    (name_a, doc_a), (name_b, doc_b) = manifests
+    assert name_a == name_b
+    assert (doc_a["meta"]["threads"], doc_b["meta"]["threads"]) == (2, 1)
+    assert "threads" not in doc_b["config"]
+
+
+@pytest.mark.parametrize("example, node_counts", [("ex1", None), ("ex6", [10, 20, 40, 80, 160])])
+def test_sample_config_is_the_config_document(tmp_path, example, node_counts):
+    # config.json is ExperimentConfig.to_dict(): no thread count, and ex6's sweep sizes
+    out = tmp_path / "s"
+    assert run_cli("sample", example, "--out", str(out),
+                   "--config", str(write_tiny_config(tmp_path))) == 0
+    doc = json.loads((out / "config.json").read_text())
+    assert "threads" not in doc
+    assert doc["node_counts"] == node_counts
+    assert doc == bench.config_from_dict(doc).to_dict()
+
+
+def test_sample_takes_no_threads_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sample", "ex1", "--threads", "1", "--out", str(tmp_path / "out"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_artifacts_end_lines_with_lf(tmp_path):
+    # every file of a run directory, a sweep directory and a sample, the CSVs'
+    # leading comment lines included, ends its lines in LF alone
+    assert run_cli(*tiny_run_args(tmp_path, "ex1")) == 0
+    assert run_cli(*tiny_run_args(tmp_path, "ex6", node_counts=[3, 500])) == 0
+    assert run_cli("sample", "ex1", "--out", str(tmp_path / "sample"),
+                   "--config", str(write_tiny_config(tmp_path))) == 0
+    files = [p for d in (tmp_path / "out").iterdir() for p in d.iterdir()]
+    files += list((tmp_path / "sample").iterdir())
+    assert {"field.csv", "path.csv", "gsn_loss.csv", "sweep.csv", "train.csv",
+            "directions.csv"} <= {p.name for p in files}
+    for path in files:
+        assert b"\r" not in path.read_bytes(), path
+
+
 def test_manifest_restores_datasets_and_reruns_in_place(tmp_path):
     # a run directory holds no dataset: gsn sample given its manifest writes the
     # run's own datasets, and gsn bench given it reruns into the same directory
     doc = json.loads(write_tiny_config(tmp_path).read_text())
-    cfg = bench.config_from_dict({**doc, "target_id": "ex1", "n_restarts": 1, "threads": 1,
+    cfg = bench.config_from_dict({**doc, "target_id": "ex1", "n_restarts": 1,
                                   "gsn_train": {"epochs": 2}, "random_train": {"epochs": 2}})
     report = bench.run_experiment(cfg)
     runs = tmp_path / "runs"
@@ -382,7 +473,7 @@ def test_manifest_restores_datasets_and_reruns_in_place(tmp_path):
 def test_config_nonpositive_r_max_exits_2(tmp_path, capsys, extra):
     cfgp = write_tiny_config(tmp_path, quad_r_max=-1)
     code = run_cli("bench", "ex1", "--out", str(tmp_path / "out"), "--config", str(cfgp),
-                   "--epochs", "0", "--restarts", "1", "--threads", "1", *extra)
+                   "--epochs", "0", "--restarts", "1", *extra)
     assert code == 2
     assert "quad_r_max" in capsys.readouterr().err
 
@@ -457,8 +548,7 @@ def test_bench_prune_flag_pairs_within_ten_percent(tmp_path):
     # desk-scale paired run: skipping the pruning stage must not move the
     # resulting error materially
     out_a, out_b = tmp_path / "pruned", tmp_path / "unpruned"
-    args = ["bench", "ex1", "--seed", "0", "--epochs", "0", "--restarts", "1",
-            "--threads", "2"]
+    args = ["bench", "ex1", "--seed", "0", "--epochs", "0", "--restarts", "1"]
     assert run_cli(*args, "--out", str(out_a)) == 0
     assert run_cli(*args, "--out", str(out_b), "--no-prune") == 0
     rel_a = manifest_in(out_a)["results"]["errors"]["gsn_init"]["rel_l2"]
@@ -494,7 +584,7 @@ def test_bench_refuses_dictionary_beyond_memory(tmp_path, capsys, monkeypatch):
 
 
 def test_bench_sweep_refuses_dictionary_beyond_memory(tmp_path, capsys, monkeypatch):
-    def never(cfg, counts):
+    def never(cfg):
         raise AssertionError("the sweep must not start")
 
     monkeypatch.setattr(cli, "available_memory_bytes", lambda: 2**30)

@@ -1,18 +1,20 @@
 """Seed-0 desk runs checked against their recorded results in tests/golden/desk.json.
 
 Each configs/desk/exN.json runs through `gsn bench` at seed 0 with 200
-epochs, 2 baseline restarts and 2 threads. Its run-directory name (the
-config hash, which involves no float arithmetic) must match in any
-environment. Everything else depends on float bytes, which follow the BLAS
-kernel and thread count and the SIMD code paths of numpy's ufuncs; a
-one-ulp difference can already change which atoms greedy selects. So the
+epochs and 2 baseline restarts, on the default worker thread count,
+which changes no byte of a run. Its run-directory name (the config hash,
+which involves no float arithmetic) must match in any environment.
+Everything else depends on float bytes, which follow the BLAS kernel and
+thread count and the SIMD code paths of numpy's ufuncs; a one-ulp
+difference can already change which atoms greedy selects. So the
 discrete results (atom counts before and after pruning, selected nodes,
-greedy termination, the greedy path's atom indices), the error floats and
-the SHA-256 of every artifact are compared only where numpy, its SIMD
-extensions, the OpenBLAS build and the live BLAS thread count are the ones
-the file records; elsewhere that comparison is skipped, and the skip names
-the difference. A single run's directory holds no dataset; the hashes of
-its train/val/test CSVs are those `gsn sample` restores from its manifest.
+greedy termination, the greedy path's atom indices), the error floats
+and the SHA-256 of every artifact are compared only where numpy, its
+SIMD extensions, the OpenBLAS build and the live BLAS thread count are
+the ones the file records; elsewhere that comparison is skipped, and the
+skip names the difference. A single run's directory holds no dataset;
+the hashes of its train/val/test CSVs are those `gsn sample` restores
+from its manifest.
 
 A change that alters these numbers on purpose rewrites the file with
 
@@ -36,7 +38,7 @@ from gsn import bench, cli
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs" / "desk"
 GOLDEN = ROOT / "tests" / "golden" / "desk.json"
-FLAGS = ["--seed", "0", "--epochs", "200", "--restarts", "2", "--threads", "2"]
+FLAGS = ["--seed", "0", "--epochs", "200", "--restarts", "2"]
 
 
 def _openblas(symbol: str, restype):
