@@ -77,12 +77,13 @@ def _load(loader, path: str, role: str, *args):
         raise CliError(f"malformed {role} file {path}: {exc}") from exc
 
 
-def load_experiment_config(path: str | None, target_id: str | None = None,
-                           seed: int | None = None) -> bench.ExperimentConfig:
+def load_experiment_config(path: str | None, target_id: str | None = None, seed: int | None = None,
+                           env_threads: bool = True) -> bench.ExperimentConfig:
     """The config file laid over the example defaults. The file holds a full or
     partial manifest 'config' object, or a whole manifest, whose 'config' object
     is read. Its ``threads``, which an older file may hold, sets the worker count
-    alone; a file without one gets GSN_THREADS or the CPU count."""
+    alone; a file without one gets GSN_THREADS or the CPU count if ``env_threads``,
+    else 1 (where a flag sets the count, or no worker thread runs)."""
     if not (path or target_id):
         raise UsageError(f"give an example id ({', '.join(bench.EXAMPLE_IDS)}) or a --config file")
     doc = _load(bench.load_manifest, path, "config") if path else {}
@@ -91,7 +92,8 @@ def load_experiment_config(path: str | None, target_id: str | None = None,
     if "config" in doc and set(doc) <= {"meta", "config", "results"}:
         doc = doc["config"]
     try:
-        return bench.config_from_dict({"threads": default_threads(), **doc}, target_id, seed)
+        env = {"threads": default_threads()} if env_threads and "threads" not in doc else {}
+        return bench.config_from_dict({**env, **doc}, target_id, seed)
     except ValueError as exc:  # a fault of the command line's example id or seed, else of the file
         if (seed or 0) < 0:
             raise UsageError(f"invalid --seed: {exc}") from exc
@@ -110,7 +112,7 @@ def _with_flags(obj, args, flags: dict):
 
 def build_experiment_config(args) -> bench.ExperimentConfig:
     """The config of `gsn bench`/`gsn sample`: file, then flags (`gsn sample` has no --threads)."""
-    cfg = load_experiment_config(args.config, args.example, args.seed)
+    cfg = load_experiment_config(args.config, args.example, args.seed, getattr(args, "threads", 0) is None)
     train_flags = {"epochs": "--epochs", "batch_size": "--batch"}
     cfg = replace(cfg, gsn_train=_with_flags(cfg.gsn_train, args, train_flags),
                   random_train=_with_flags(cfg.random_train, args, train_flags))
@@ -119,12 +121,11 @@ def build_experiment_config(args) -> bench.ExperimentConfig:
 
 
 def _stage_config(args) -> bench.ExperimentConfig:
-    """A stage's config: its --config file, else the ExperimentConfig defaults (the
-    example and sizes are placeholders), with the stage's flags (``args.flags``)."""
-    if args.config:
-        cfg = load_experiment_config(args.config)
-    else:
-        cfg = bench.ExperimentConfig(bench.EXAMPLE_IDS[0], 1, 1, 1, 1, threads=default_threads())
+    """A stage's config: its --config file, else the ExperimentConfig defaults (the example
+    and sizes are placeholders), with the stage's flags (``args.flags``), --threads too."""
+    env = getattr(args, "threads", 0) is None
+    cfg = (load_experiment_config(args.config, env_threads=env) if args.config else
+           bench.ExperimentConfig(bench.EXAMPLE_IDS[0], 1, 1, 1, 1, threads=default_threads() if env else 1))
     return _with_flags(cfg, args, args.flags)
 
 

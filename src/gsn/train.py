@@ -1,16 +1,19 @@
 """Backpropagation fine-tuning with Adam, and the random-init baseline.
 
-Training operates on the raw node parametrization (a_n, b_n, c_n); the
-unit-norm constraint on inner weights is not maintained while optimizing.
-The mean-squared-error loss keeps the learning-rate scale independent of
-batch size, and the learning rate decays exponentially per epoch.
+Training operates on raw node parameters in ``core``'s direction layout, row
+n of W being [a_n | b_n], without keeping them unit-norm. The inputs carry a
+ones column, X1 = [X | 1], so X1 @ W.T is the pre-activation with its bias and
+(P.T @ X1) * c is [gA | gb]. The mean-squared-error loss keeps the learning
+rate's scale independent of batch size; the rate decays exponentially per epoch.
 
-`gradients` is the one minibatch gradient kernel: `train_params` steps it
-with the one Adam update, and the finite-difference acceptance check tests
-it. Both take an optional leading restart axis, so the baseline's R
-restarts step together on one shuffle stream, in work views of R x batch x
-N values. Random inits draw every raw parameter from a normal of standard
-deviation INIT_STDDEV, truncated at INIT_TRUNCATION of them.
+`gradients` is the one minibatch gradient kernel, which the finite-difference
+acceptance check tests. `train_params` steps it with Adam's bias corrections
+folded in (Kingma & Ba 2015, section 2): with s_t = sqrt(1 - beta2**t),
+theta -= lr * s_t / (1 - beta1**t) * m / (sqrt(v) + eps * s_t). Both take an
+optional leading restart axis: the baseline's R restarts step together on one
+shuffle stream, in work views of R x batch x N values. An epoch's loss is the
+training-set MSE after it; at full batch the next epoch's forward pass gives
+it, and one more pass follows the last epoch.
 """
 
 from __future__ import annotations
@@ -53,60 +56,54 @@ class TrainConfig:
 
 @dataclass
 class NetParams:
-    """Unconstrained node parameters: rows of A pair with b and c entries."""
+    """Unconstrained node parameters in the direction layout: row n of W is [a_n | b_n]."""
 
-    A: np.ndarray  # (n_nodes, d), or (n_restarts, n_nodes, d)
-    b: np.ndarray  # (n_nodes,), or (n_restarts, n_nodes)
-    c: np.ndarray  # likewise
+    W: np.ndarray  # (n_nodes, d + 1), or (n_restarts, n_nodes, d + 1)
+    c: np.ndarray  # (n_nodes,), or (n_restarts, n_nodes)
 
 
 def params_from_network(net: ShallowNetwork) -> NetParams:
-    W = net.directions
-    return NetParams(W[:, :-1].copy(), W[:, -1].copy(), net.weights.copy())
+    return NetParams(net.directions.copy(), net.weights.copy())
 
 
 def params_to_network(params: NetParams, input_dim: int) -> ShallowNetwork:
     """Rescale raw nodes back onto the sphere; exact-zero nodes (relu(0) = 0) drop out."""
-    nodes = [rescale_node(a, b, c) for a, b, c in zip(params.A, params.b, params.c)
-             if np.dot(a, a) + b * b != 0.0]
+    nodes = [rescale_node(w[:-1], w[-1], c) for w, c in zip(params.W, params.c) if np.dot(w, w) != 0.0]
     return ShallowNetwork(np.reshape([row for row, _ in nodes], (-1, input_dim + 1)), [w for _, w in nodes])
 
 
-def gradients(A: np.ndarray, b: np.ndarray, c: np.ndarray, X: np.ndarray, y: np.ndarray,
-              gA: np.ndarray, gb: np.ndarray, gc: np.ndarray, work=None) -> None:
-    """Gradients of the minibatch MSE mean((relu(X @ A.T + b) @ c - y)**2).
+def gradients(W: np.ndarray, c: np.ndarray, X1: np.ndarray, y: np.ndarray,
+              gW: np.ndarray, gc: np.ndarray, work=None) -> None:
+    """Gradients of the minibatch MSE mean((relu(X1 @ W.T) @ c - y)**2), X1 = [X | 1].
 
-    Writes them into gA, gb and gc (C-contiguous); with a restart axis, each
-    restart's arithmetic is that of a lone network. The ReLU subgradient at 0
-    is 0: a node dead on the whole batch gets zero gradients. Intermediates go
-    into ``work`` (``work_buffers``' views for y.size rows) or fresh arrays.
-    On non-NaN z, np.maximum(z, 0.0) is np.where(z > 0, z, 0.0) bit for bit
-    (both map -0.0 to +0.0), and its sign is the gate z > 0 as 0.0 or 1.0."""
-    act, P, r, r_col, act_T, P_T = work or work_buffers((y.size,), c.shape[-1], c.shape[:-1])[y.size]
-    product = np.dot if A.ndim == 2 else np.matmul  # the same BLAS calls; np.dot's call is cheaper
-    product(X, A.swapaxes(-1, -2), out=act)
-    act += b[..., None, :]
+    Writes them into gW = [gA | gb] and gc (C-contiguous); with a restart axis, each restart's
+    arithmetic is that of a lone network. The ReLU subgradient at 0 is 0: a node dead on the whole
+    batch gets zero gradients. Intermediates go into ``work`` (``work_buffers``' views for y.size
+    rows, the third keeping the residual) or fresh arrays. On non-NaN z, np.maximum(z, 0.0) is
+    np.where(z > 0, z, 0.0) bit for bit (both map -0.0 to +0.0); its sign is the gate as 0.0 or 1.0."""
+    act, P, e, e_col, r_col, act_T, P_T = work or work_buffers((y.size,), c.shape[-1], c.shape[:-1])[y.size]
+    # equal bits; np.dot's call is cheaper on few rows, np.matmul's GEMM on many
+    product = np.dot if W.ndim == 2 and y.size <= 64 else np.matmul
+    product(X1, W.swapaxes(-1, -2), out=act)
     np.maximum(act, 0.0, out=act)
     np.sign(act, out=P)
     c_col = c[..., None]
-    product(act, c_col, out=r_col)
-    r -= y
-    r *= 2.0 / y.size
+    product(act, c_col, out=e_col)
+    e -= y
+    np.multiply(e_col, 2.0 / y.size, out=r_col)
     product(act_T, r_col, out=gc[..., None])
     P *= r_col  # (batch, nodes)
-    product(P_T, X, out=gA)
-    gA *= c_col
-    np.add.reduce(P, axis=-2, out=gb)
-    gb *= c
+    product(P_T, X1, out=gW)
+    gW *= c_col
 
 
 def work_buffers(sizes, n_nodes: int, lead: tuple = ()) -> dict:
-    """``gradients``' work views per batch size in ``sizes``: act, P, the residual as
-    a row and a column, act.T and P.T, in the leading rows of one set of (*lead, rows,
-    n_nodes) arrays; 2-D slices keep unit stride, so each restart gets a lone net's BLAS call."""
-    stack, resid = np.empty((2, *lead, max(sizes), n_nodes)), np.empty((*lead, max(sizes)))
-    return {rows: (*stack[..., :rows, :], resid[..., :rows], resid[..., :rows, None],
-                   *stack[..., :rows, :].swapaxes(-1, -2)) for rows in sizes}
+    """``gradients``' work views per batch size in ``sizes``: act, P, the residual as a row and a
+    column, the scaled residual as a column, act.T and P.T, in the leading rows of one set of
+    arrays; 2-D slices keep unit stride, so each restart gets a lone net's BLAS call."""
+    stack, resid = np.empty((2, *lead, max(sizes), n_nodes)), np.empty((2, *lead, max(sizes)))
+    return {rows: (*stack[..., :rows, :], resid[0, ..., :rows], resid[0, ..., :rows, None],
+                   resid[1, ..., :rows, None], *stack[..., :rows, :].swapaxes(-1, -2)) for rows in sizes}
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -118,72 +115,73 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 def train_params(params: NetParams, train_set: Dataset, cfg: TrainConfig) -> tuple[NetParams, np.ndarray]:
     """Mini-batch Adam loop on raw parameters; returns per-epoch train loss.
 
-    Restarts on a leading axis share the shuffle stream, the learning-rate
-    schedule and the step count t; their curve is (n_restarts, epochs).
-    Minibatches are slices of a per-epoch shuffled copy of the data. The loss
-    takes one restart at a time in one (n, N) buffer, at full batch the kernel's.
-    The first non-finite loss raises GsnError, naming its epoch; numpy's
-    overflow and invalid-value warnings on the way there are not printed.
-    """
-    *lead, n_nodes, d = params.A.shape
-    n_nets = math.prod(lead)
-    X, y, n = train_set.inputs, train_set.targets, train_set.n_points
+    Restarts on a leading axis share the shuffle stream, the learning-rate schedule and
+    the step count t; their curve is (n_restarts, epochs). Minibatches are slices of a
+    per-epoch shuffled copy of [X | 1], whose loss pass takes one restart at a time in
+    one (n, N) buffer; full batch (batch_size >= n) shuffles nothing. The first non-finite
+    loss raises GsnError, naming its epoch, before the next update; numpy's overflow and
+    invalid-value warnings on the way there are not printed."""
+    *lead, n_nodes, d1 = params.W.shape
+    n_nets, y, n = math.prod(lead), train_set.targets, train_set.n_points
+    X1 = np.hstack([train_set.inputs, np.ones((n, 1))])
     batch = min(cfg.batch_size, n)
-    rng = substream(cfg.seed, "shuffle")
+    full, rng = batch == n, substream(cfg.seed, "shuffle")
 
     # theta, the gradient and its square; the last two become the moment increments
-    state = np.zeros((3, *lead, n_nodes * (d + 2)))
+    state = np.zeros((3, *lead, n_nodes * (d1 + 1)))
     (theta, g, g2), grads = state, state[1:]
-    (A, gA, _), (b, gb, _), (c, gc, _) = (state[..., : n_nodes * d].reshape(3, *lead, n_nodes, d),
-                                          state[..., n_nodes * d: n_nodes * (d + 1)],
-                                          state[..., n_nodes * (d + 1):])
-    A[...], b[...], c[...] = params.A, params.b, params.c
+    (W, gW, _), (c, gc, _) = (state[..., : n_nodes * d1].reshape(3, *lead, n_nodes, d1),
+                              state[..., n_nodes * d1:])
+    W[...], c[...] = params.W, params.c
     m, v = moments = np.zeros_like(grads)  # Adam's moments
     # constants as full arrays, since a ufunc over equal shapes is the cheapest call
     beta = np.stack([np.full_like(theta, ADAM_BETA1), np.full_like(theta, ADAM_BETA2)])
-    one_minus_beta, eps = 1.0 - beta, np.full_like(theta, ADAM_EPS)
-    lr_t, step, scratch = np.empty((3, *theta.shape))
-    Xs, ys = np.empty(X.shape), np.empty(n)  # C order: contiguous minibatches
+    one_minus_beta, (step, denom) = 1.0 - beta, np.empty((2, *theta.shape))
     views = work_buffers({batch, n % batch or batch}, n_nodes, tuple(lead))
+    Xs, ys = (X1, y) if full else (np.empty(X1.shape), np.empty(n))  # C order: contiguous minibatches
     batches = [(Xs[lo: lo + batch], ys[lo: lo + batch], views[min(batch, n - lo)])
                for lo in range(0, n, batch)]
-    z_full = views[n][0].reshape(n_nets, n, n_nodes)[0] if batch == n else np.empty((n, n_nodes))
-    err, curve = np.empty(n), np.empty((*lead, cfg.epochs))
-    nets = list(zip(A.reshape(n_nets, n_nodes, d), b.reshape(n_nets, n_nodes), c.reshape(n_nets, n_nodes),
+    z, curve = None if full else np.empty((n, n_nodes)), np.empty((*lead, cfg.epochs))
+    nets = list(zip(W.reshape(n_nets, n_nodes, d1), c.reshape(n_nets, n_nodes),
+                    views[n][2].reshape(n_nets, n) if full else np.empty((n_nets, n)),
                     curve.reshape(n_nets, cfg.epochs)))
 
-    t = 0
+    def record(epoch):  # at full batch, the kernel's last forward pass left the residuals
+        for W_r, c_r, err, curve_r in nets:
+            if not full:
+                np.maximum(np.matmul(X1, W_r.T, out=z), 0.0, out=z)
+                np.subtract(np.matmul(z, c_r, out=err), y, out=err)
+            curve_r[epoch] = loss = np.dot(err, err) / n
+            if not math.isfinite(loss):
+                raise GsnError(f"training diverged: loss not finite after epoch {epoch + 1} of {cfg.epochs}")
+
     for epoch in range(cfg.epochs):
-        lr_t.fill(lr_at(epoch, cfg))
-        order = rng.permutation(n)
-        np.take(X, order, axis=0, out=Xs, mode="clip")  # "raise" would buffer
-        np.take(y, order, out=ys, mode="clip")
-        for Xb, yb, work in batches:
-            gradients(A, b, c, Xb, yb, gA, gb, gc, work)
-            # bias-corrected Adam, theta -= lr * mhat / (sqrt(vhat) + eps),
-            # one operation at a time; m and v update in one call each
-            t += 1
+        lr = lr_at(epoch, cfg)
+        if not full:
+            order = rng.permutation(n)
+            np.take(X1, order, axis=0, out=Xs, mode="clip")  # "raise" would buffer
+            np.take(y, order, out=ys, mode="clip")
+        for t, (Xb, yb, work) in enumerate(batches, epoch * len(batches) + 1):  # t: Adam's step count
+            gradients(W, c, Xb, yb, gW, gc, work)
+            if full and epoch:
+                record(epoch - 1)
+            # folded Adam, one operation at a time; m and v update in one call each
+            root2 = math.sqrt(1.0 - ADAM_BETA2**t)
             moments *= beta
             np.multiply(g, g, out=g2)
             grads *= one_minus_beta
             moments += grads
-            np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
-            step *= lr_t
-            np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=scratch), out=scratch)
-            scratch += eps
-            step /= scratch
+            np.sqrt(v, out=denom)
+            denom += ADAM_EPS * root2
+            np.divide(m, denom, out=step)
+            step *= lr * root2 / (1.0 - ADAM_BETA1**t)
             theta -= step
-        for A_r, b_r, c_r, curve_r in nets:
-            np.matmul(X, A_r.T, out=z_full)
-            z_full += b_r
-            np.maximum(z_full, 0.0, out=z_full)
-            np.matmul(z_full, c_r, out=err)
-            err -= y
-            curve_r[epoch] = loss = np.dot(err, err) / n
-            if not math.isfinite(loss):
-                raise GsnError(f"training diverged: loss not finite after epoch {epoch + 1} "
-                               f"of {cfg.epochs}")
-    return NetParams(A.copy(), b.copy(), c.copy()), curve
+        if not full:
+            record(epoch)
+    if full and cfg.epochs:
+        gradients(W, c, X1, y, gW, gc, views[n])
+        record(cfg.epochs - 1)
+    return NetParams(W.copy(), c.copy()), curve
 
 
 def train(net0: ShallowNetwork, train_set: Dataset,
@@ -198,7 +196,7 @@ def train(net0: ShallowNetwork, train_set: Dataset,
 
 
 def truncated_normal_params(n_nodes: int, input_dim: int, seed: int) -> NetParams:
-    """Rejection-sampled truncated normal draws for every raw parameter."""
+    """A, b, then c from a normal of deviation INIT_STDDEV, redrawn beyond INIT_TRUNCATION of it."""
     rng = substream(seed, "init")
     bound = INIT_TRUNCATION * INIT_STDDEV
 
@@ -208,7 +206,8 @@ def truncated_normal_params(n_nodes: int, input_dim: int, seed: int) -> NetParam
             out[bad] = rng.normal(0.0, INIT_STDDEV, size=int(bad.sum()))
         return out
 
-    return NetParams(draw((n_nodes, input_dim)), draw(n_nodes), draw(n_nodes))
+    A, b, c = draw((n_nodes, input_dim)), draw(n_nodes), draw(n_nodes)
+    return NetParams(np.column_stack([A, b]), c)
 
 
 @dataclass(frozen=True)
@@ -232,15 +231,15 @@ def multi_restart(n_nodes: int, train_set: Dataset, val_set: Dataset | None,
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
     inits = [truncated_normal_params(n_nodes, train_set.dim, init_seed + r) for r in range(n_restarts)]
-    params = inits[0] if n_restarts == 1 else NetParams(*(np.stack([getattr(p, k) for p in inits])
-                                                          for k in ("A", "b", "c")))
+    params = inits[0] if n_restarts == 1 else NetParams(np.stack([p.W for p in inits]),
+                                                          np.stack([p.c for p in inits]))
     params, curves = train_params(params, train_set, cfg)
     best_err, best_net, best_curve, records = np.inf, None, None, []
     sqrt_n = np.sqrt(test_set.n_points)
     shape = (n_restarts, n_nodes)
-    for r, (A, b, c, curve) in enumerate(zip(params.A.reshape(*shape, train_set.dim), params.b.reshape(shape),
-                                             params.c.reshape(shape), curves.reshape(n_restarts, cfg.epochs))):
-        net = params_to_network(NetParams(A, b, c), train_set.dim)
+    for r, (W, c, curve) in enumerate(zip(params.W.reshape(*shape, train_set.dim + 1),
+                                          params.c.reshape(shape), curves.reshape(n_restarts, cfg.epochs))):
+        net = params_to_network(NetParams(W, c), train_set.dim)
         err = float(np.linalg.norm(batch_eval(net, test_set.inputs) - test_set.targets) / sqrt_n)
         records.append(RestartRecord(r, init_seed + r, err, float(curve[-1]) if curve.size else float("nan")))
         if err < best_err:

@@ -175,17 +175,17 @@ def test_criterion_4_gradient_correctness():
         X = rng.uniform(-1, 1, size=(nb, dim))
         y = rng.standard_normal(nb)
         base = params_from_network(net)
-        # the kernel train_params steps, writing into gradient buffers
-        grads = NetParams(np.empty_like(base.A), np.empty_like(base.b), np.empty_like(base.c))
-        gradients(base.A, base.b, base.c, X, y, grads.A, grads.b, grads.c)
-        z = X @ base.A.T + base.b
+        # the kernel train_params steps, on [X | 1], writing into gradient buffers
+        grads = NetParams(np.empty_like(base.W), np.empty_like(base.c))
+        gradients(base.W, base.c, np.hstack([X, np.ones((nb, 1))]), y, grads.W, grads.c)
+        z = X @ base.W[:, :-1].T + base.W[:, -1]
         near_kink = np.abs(z).min(axis=0) < kink_tol
 
         def fd(setter):
             def loss_at(d):
-                p = NetParams(base.A.copy(), base.b.copy(), base.c.copy())
+                p = NetParams(base.W.copy(), base.c.copy())
                 setter(p, d)
-                e = np.maximum(X @ p.A.T + p.b, 0.0) @ p.c - y
+                e = np.maximum(X @ p.W[:, :-1].T + p.W[:, -1], 0.0) @ p.c - y
                 return float(e @ e / nb)
             return (loss_at(+h) - loss_at(-h)) / (2 * h)
 
@@ -194,10 +194,9 @@ def test_criterion_4_gradient_correctness():
             flat.append((fd(lambda p, d, n=n: p.c.__setitem__(n, p.c[n] + d)), grads.c[n]))
             if near_kink[n]:
                 continue
-            flat.append((fd(lambda p, d, n=n: p.b.__setitem__(n, p.b[n] + d)), grads.b[n]))
-            for k in range(dim):
-                flat.append((fd(lambda p, d, n=n, k=k: p.A.__setitem__((n, k), p.A[n, k] + d)),
-                             grads.A[n, k]))
+            for k in range(dim + 1):  # the inner weights a_n, then the bias b_n
+                flat.append((fd(lambda p, d, n=n, k=k: p.W.__setitem__((n, k), p.W[n, k] + d)),
+                             grads.W[n, k]))
         for numeric, analytic in flat:
             rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1.0)
             worst = max(worst, rel)

@@ -411,6 +411,29 @@ def test_config_file_threads_sets_only_the_worker_count(tmp_path, monkeypatch):
     assert "threads" not in doc_b["config"]
 
 
+def test_malformed_gsn_threads_is_read_only_where_it_sets_the_count(tmp_path, monkeypatch, capsys):
+    # GSN_THREADS comes after the flag and the file: a bad value refuses only a
+    # command whose worker count it would set, and the message names it
+    monkeypatch.setenv("GSN_THREADS", "zero")
+    for name, flags in (("flag", ["--threads", "2"]), ("file", [])):
+        out = tmp_path / name
+        out.mkdir()
+        args = bench_args(out, *flags)
+        if not flags:
+            write_tiny_config(out, threads=1)
+        assert run_cli(*args) == 0
+        assert manifest_in(out)["meta"]["threads"] == (2 if flags else 1)
+    work = tmp_path / "work"
+    assert run_cli("sample", "ex1", "--seed", "0", "--config", str(write_tiny_config(tmp_path)),
+                   "--out", str(work)) == 0
+    assert run_cli("dict", "--config", str(work / "config.json"), "--train", str(work / "train.csv"),
+                   "--directions", str(work / "directions.csv"), "--out", str(work / "dictionary.csv")) == 0
+    capsys.readouterr()
+    (tmp_path / "env").mkdir()
+    assert run_cli(*bench_args(tmp_path / "env")) == 2
+    assert "GSN_THREADS must be an integer, got 'zero'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("example, node_counts", [("ex1", None), ("ex6", [10, 20, 40, 80, 160])])
 def test_sample_config_is_the_config_document(tmp_path, example, node_counts):
     # config.json is ExperimentConfig.to_dict(): no thread count, and ex6's sweep sizes

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,21 +40,31 @@ def random_batch(rng, n, dim):
     return Dataset(X, y, [[-1.0, 1.0]] * dim)
 
 
+def with_ones(X):
+    return np.hstack([X, np.ones((len(X), 1))])
+
+
 def forward(p, X):
-    return np.maximum(X @ p.A.T + p.b, 0.0) @ p.c
+    """relu(X @ A.T + b) @ c, for each restart on a leading axis."""
+    z = X @ p.W[..., :-1].swapaxes(-1, -2) + p.W[..., None, :, -1]
+    return (np.maximum(z, 0.0) @ p.c[..., None])[..., 0]
 
 
 def kernel_gradients(p, X, y):
-    g = NetParams(np.empty_like(p.A), np.empty_like(p.b), np.empty_like(p.c))
-    gradients(p.A, p.b, p.c, X, y, g.A, g.b, g.c)
+    g = NetParams(np.empty_like(p.W), np.empty_like(p.c))
+    gradients(p.W, p.c, with_ones(X), y, g.W, g.c)
     return g
+
+
+def stack(params):
+    return NetParams(np.stack([p.W for p in params]), np.stack([p.c for p in params]))
 
 
 def test_zero_loss_zero_gradients(rng):
     p = params_from_network(random_network(rng, 4, 2))
     X = rng.uniform(-1, 1, size=(8, 2))
     grads = kernel_gradients(p, X, forward(p, X))
-    assert np.all(grads.A == 0) and np.all(grads.b == 0) and np.all(grads.c == 0)
+    assert np.all(grads.W == 0) and np.all(grads.c == 0)
 
 
 def test_dead_node_zero_gradients(rng):
@@ -62,13 +73,13 @@ def test_dead_node_zero_gradients(rng):
     p = params_from_network(ShallowNetwork([live, dead], [1.0, 2.0]))
     batch = random_batch(rng, 6, 1)
     grads = kernel_gradients(p, batch.inputs, batch.targets)
-    assert np.all(grads.A[1] == 0) and grads.b[1] == 0 and grads.c[1] == 0
-    assert np.any(grads.A[0] != 0)
+    assert np.all(grads.W[1] == 0) and grads.c[1] == 0
+    assert np.any(grads.W[0, :-1] != 0)
 
 
 def central_difference(base, batch, setter, h=1e-6):
     def loss_at(delta):
-        p = NetParams(base.A.copy(), base.b.copy(), base.c.copy())
+        p = NetParams(base.W.copy(), base.c.copy())
         setter(p, delta)
         err = forward(p, batch.inputs) - batch.targets
         return float(err @ err / batch.n_points)
@@ -84,19 +95,17 @@ def test_gradients_match_finite_differences(rng):
         base = params_from_network(random_network(rng, n_nodes, dim))
         batch = random_batch(rng, int(rng.integers(2, 10)), dim)
         grads = kernel_gradients(base, batch.inputs, batch.targets)
-        z = batch.inputs @ base.A.T + base.b
+        z = batch.inputs @ base.W[:, :-1].T + base.W[:, -1]
         near_kink = np.abs(z).min(axis=0) < kink_tol
         for n in range(n_nodes):
             fd_c = central_difference(base, batch, lambda p, d, n=n: p.c.__setitem__(n, p.c[n] + d))
             assert fd_c == pytest.approx(grads.c[n], rel=1e-5, abs=1e-9)
             if near_kink[n]:
                 continue
-            fd_b = central_difference(base, batch, lambda p, d, n=n: p.b.__setitem__(n, p.b[n] + d))
-            assert fd_b == pytest.approx(grads.b[n], rel=1e-5, abs=1e-9)
-            for k in range(dim):
-                fd_a = central_difference(
-                    base, batch, lambda p, d, n=n, k=k: p.A.__setitem__((n, k), p.A[n, k] + d))
-                assert fd_a == pytest.approx(grads.A[n, k], rel=1e-5, abs=1e-9)
+            for k in range(dim + 1):  # the inner weights a_n, then the bias b_n
+                fd_w = central_difference(
+                    base, batch, lambda p, d, n=n, k=k: p.W.__setitem__((n, k), p.W[n, k] + d))
+                assert fd_w == pytest.approx(grads.W[n, k], rel=1e-5, abs=1e-9)
 
 
 def test_empty_batch_rejected(rng):
@@ -126,17 +135,30 @@ def test_train_zero_epochs_returns_input(rng):
 @pytest.mark.parametrize("n_restarts", [1, 3])
 def test_train_params_stops_at_the_first_diverged_epoch(rng, n_restarts):
     # an overflowing learning rate makes the loss non-finite within a few epochs:
-    # training stops there, naming the epoch, instead of stepping on to the last
+    # training stops there, naming the epoch, instead of stepping on to the last.
+    # Batch 10 is full batch, whose epoch loss comes from the next forward pass
+    # (three nodes would all die there after one step, leaving the loss finite):
+    # the epoch named is still the first whose parameters give a non-finite loss
     ds = random_batch(rng, 10, 1)
-    params = truncated_normal_params(3, 1, seed=2)
-    if n_restarts > 1:
-        params = NetParams(*(np.stack([getattr(params, k)] * n_restarts) for k in ("A", "b", "c")))
-    cfg = TrainConfig(epochs=50, batch_size=4, initial_lr=1e300)
-    with np.errstate(all="ignore"), pytest.raises(GsnError, match="training diverged") as info:
-        train_params(params, ds, cfg)
-    epoch = int(re.fullmatch(r"training diverged: loss not finite after epoch (\d+) of 50",
-                             str(info.value))[1])
-    assert 1 <= epoch < cfg.epochs
+    for batch_size, n_nodes in ((4, 3), (10, 10)):
+        params = truncated_normal_params(n_nodes, 1, seed=2)
+        if n_restarts > 1:
+            params = stack([params] * n_restarts)
+        cfg = TrainConfig(epochs=50, batch_size=batch_size, initial_lr=1e300)
+
+        def diverged_epoch(epochs):
+            with np.errstate(all="ignore"), pytest.raises(GsnError, match="training diverged") as info:
+                train_params(params, ds, replace(cfg, epochs=epochs))
+            return int(re.fullmatch(rf"training diverged: loss not finite after epoch (\d+) of {epochs}",
+                                    str(info.value))[1])
+
+        epoch = diverged_epoch(cfg.epochs)
+        assert 1 <= epoch < cfg.epochs
+        assert diverged_epoch(epoch) == epoch
+        with np.errstate(all="ignore"):
+            before, curve = train_params(params, ds, replace(cfg, epochs=epoch - 1))
+            err = forward(before, ds.inputs) - ds.targets
+        assert np.all(np.isfinite(curve)) and np.all(np.isfinite(np.sum(err * err, axis=-1)))
 
 
 def test_train_inline_adam_matches_adam_update(rng):
@@ -149,60 +171,58 @@ def test_train_inline_adam_matches_adam_update(rng):
     trained, _ = train_params(params0, ds, cfg)
 
     grads = kernel_gradients(params0, ds.inputs, ds.targets)
-    theta = np.concatenate([params0.A.ravel(), params0.b, params0.c])
-    g = np.concatenate([grads.A.ravel(), grads.b, grads.c])
+    theta = np.concatenate([params0.W.ravel(), params0.c])
+    g = np.concatenate([grads.W.ravel(), grads.c])
     m = (1.0 - ADAM_BETA1) * g
     v = (1.0 - ADAM_BETA2) * g * g
     mhat, vhat = m / (1.0 - ADAM_BETA1), v / (1.0 - ADAM_BETA2)
     theta1 = theta - lr_at(0, cfg) * mhat / (np.sqrt(vhat) + ADAM_EPS)
-    got = np.concatenate([trained.A.ravel(), trained.b, trained.c])
-    # the shuffled batch sums its rows in another order than the kernel call above
+    got = np.concatenate([trained.W.ravel(), trained.c])
     np.testing.assert_allclose(got, theta1, rtol=1e-13, atol=1e-15)
 
 
 def reference_train_params(params, train_set, cfg):
-    """The training loop as it read before it wrote into work buffers: a
-    fresh array per operation, the minibatch gathered with X[idx] and the
-    activations taken with np.where. train_params must match it bit for bit."""
-    n_nodes, d = params.A.shape
+    """The training loop with a fresh array per operation: the minibatch gathered
+    with X1[idx] from X1 = [X | 1], the activations taken with np.where, Adam's
+    bias corrections folded into its step size and epsilon, and at full batch no
+    shuffle. The loss takes a fresh forward pass after each epoch, which at full
+    batch is the next epoch's. train_params must match it bit for bit."""
+    n_nodes, d1 = params.W.shape
     n = train_set.n_points
-    X, y = train_set.inputs, train_set.targets
+    X1, y = with_ones(train_set.inputs), train_set.targets
     batch = min(cfg.batch_size, n)
     rng = substream(cfg.seed, "shuffle")
-    theta = np.concatenate([params.A.ravel(), params.b, params.c])
-    A = theta[: n_nodes * d].reshape(n_nodes, d)
-    b = theta[n_nodes * d: n_nodes * (d + 1)]
-    c = theta[n_nodes * (d + 1):]
+    theta = np.concatenate([params.W.ravel(), params.c])
+    W = theta[: n_nodes * d1].reshape(n_nodes, d1)
+    c = theta[n_nodes * d1:]
     mom = np.zeros_like(theta)
     vel = np.zeros_like(theta)
     curve = np.empty(cfg.epochs)
     t = 0
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
-        order = rng.permutation(n)
+        order = np.arange(n) if batch == n else rng.permutation(n)
         for lo in range(0, n, batch):
             idx = order[lo: lo + batch]
-            Xb, yb = X[idx], y[idx]
-            z = Xb @ A.T + b
+            Xb, yb = X1[idx], y[idx]
+            z = Xb @ W.T
             gate = z > 0.0
             act = np.where(gate, z, 0.0)
-            coef = (2.0 / yb.size) * (act @ c - yb)
+            coef = (act @ c - yb) * (2.0 / yb.size)
             gc = act.T @ coef
             P = gate * coef[:, None]
-            gA = (P.T @ Xb) * c[:, None]
-            gb = P.sum(axis=0) * c
-            grad = np.concatenate([gA.ravel(), gb, gc])
+            gW = (P.T @ Xb) * c[:, None]
+            grad = np.concatenate([gW.ravel(), gc])
             t += 1
+            root2 = math.sqrt(1.0 - ADAM_BETA2**t)
             mom *= ADAM_BETA1
             mom += (1.0 - ADAM_BETA1) * grad
             vel *= ADAM_BETA2
             vel += (1.0 - ADAM_BETA2) * (grad * grad)
-            mhat = mom / (1.0 - ADAM_BETA1**t)
-            vhat = vel / (1.0 - ADAM_BETA2**t)
-            theta -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        full_err = np.maximum(X @ A.T + b, 0.0) @ c - y
+            theta -= mom / (np.sqrt(vel) + ADAM_EPS * root2) * (lr * root2 / (1.0 - ADAM_BETA1**t))
+        full_err = np.maximum(X1 @ W.T, 0.0) @ c - y
         curve[epoch] = np.dot(full_err, full_err) / n
-    return NetParams(A.copy(), b.copy(), c.copy()), curve
+    return NetParams(W.copy(), c.copy()), curve
 
 
 @pytest.mark.parametrize("n, dim, n_nodes, batch_size", [
@@ -212,12 +232,12 @@ def test_train_params_matches_reference_bits(rng, n, dim, n_nodes, batch_size):
     # batch 11 leaves a partial last batch (40 = 3*11 + 7, 300 = 27*11 + 3),
     # batch 3 one of a single row, and batch_size >= n is full batch
     params = params_from_network(random_network(rng, n_nodes, dim))
-    params.b[0] = -2.0  # one node dead on the whole box
+    params.W[0, -1] = -2.0  # one node dead on the whole box
     ds = random_batch(rng, n, dim)
     cfg = TrainConfig(epochs=25, batch_size=batch_size, initial_lr=1e-2, seed=3)
     got, got_curve = train_params(params, ds, cfg)
     want, want_curve = reference_train_params(params, ds, cfg)
-    for g, w in ((got.A, want.A), (got.b, want.b), (got.c, want.c), (got_curve, want_curve)):
+    for g, w in ((got.W, want.W), (got.c, want.c), (got_curve, want_curve)):
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
@@ -227,22 +247,22 @@ def test_gradients_reused_buffers_match_fresh_call(rng):
     for rows in (11, 4, 11, 1, 9):
         batch = random_batch(rng, rows, 3)
         fresh = kernel_gradients(p, batch.inputs, batch.targets)
-        reused = NetParams(np.empty_like(p.A), np.empty_like(p.b), np.empty_like(p.c))
-        gradients(p.A, p.b, p.c, batch.inputs, batch.targets, reused.A, reused.b, reused.c, work[rows])
-        for g, w in ((reused.A, fresh.A), (reused.b, fresh.b), (reused.c, fresh.c)):
+        reused = NetParams(np.empty_like(p.W), np.empty_like(p.c))
+        gradients(p.W, p.c, with_ones(batch.inputs), batch.targets, reused.W, reused.c, work[rows])
+        for g, w in ((reused.W, fresh.W), (reused.c, fresh.c)):
             assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 def test_stacked_gradients_match_each_restart(rng):
     # a leading restart axis gives each restart the gradients of a lone network
     nets = [params_from_network(random_network(rng, 5, 2)) for _ in range(3)]
-    stacked = NetParams(*(np.stack([getattr(p, k) for p in nets]) for k in ("A", "b", "c")))
+    stacked = stack(nets)
     batch = random_batch(rng, 9, 2)
-    got = NetParams(np.empty_like(stacked.A), np.empty_like(stacked.b), np.empty_like(stacked.c))
-    gradients(stacked.A, stacked.b, stacked.c, batch.inputs, batch.targets, got.A, got.b, got.c)
+    got = NetParams(np.empty_like(stacked.W), np.empty_like(stacked.c))
+    gradients(stacked.W, stacked.c, with_ones(batch.inputs), batch.targets, got.W, got.c)
     for r, p in enumerate(nets):
         want = kernel_gradients(p, batch.inputs, batch.targets)
-        for g, w in ((got.A[r], want.A), (got.b[r], want.b), (got.c[r], want.c)):
+        for g, w in ((got.W[r], want.W), (got.c[r], want.c)):
             assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
@@ -256,13 +276,13 @@ def test_multi_restart_trains_restarts_together(rng, monkeypatch, batch_size):
 
     def with_dead_node(n_nodes, input_dim, seed):
         p = draw(n_nodes, input_dim, seed)
-        p.b[0] = -1.0
+        p.W[0, -1] = -1.0
         return p
 
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[0].A.shape)
+        calls.append(args[0].W.shape)
         return train_params(*args, **kwargs)
 
     monkeypatch.setattr(train_module, "truncated_normal_params", with_dead_node)
@@ -270,9 +290,9 @@ def test_multi_restart_trains_restarts_together(rng, monkeypatch, batch_size):
     ds, test = random_batch(rng, 40, 2), random_batch(rng, 50, 2)
     cfg = TrainConfig(epochs=15, batch_size=batch_size, initial_lr=1e-2, seed=5)
     best, records, curve = multi_restart(6, ds, None, test, cfg, 100, n_restarts=3)
-    assert calls == [(3, 6, 2)]  # all three restarts in one call
+    assert calls == [(3, 6, 3)]  # all three restarts in one call
     singles = [multi_restart(6, ds, None, test, cfg, 100 + r, n_restarts=1) for r in range(3)]
-    assert calls[1:] == [(6, 2)] * 3  # a lone restart steps 2-D arrays
+    assert calls[1:] == [(6, 3)] * 3  # a lone restart steps 2-D arrays
     for r, (record, (_, (single,), _)) in enumerate(zip(records, singles)):
         assert (record.restart, record.init_seed) == (r, 100 + r)
         assert np.array_equal(np.float64([record.test_error, record.final_train_loss]).view(np.uint64),
@@ -298,21 +318,40 @@ def test_dead_node_inner_weights_frozen(rng):
     ds = random_batch(rng, 8, 1)
     cfg = TrainConfig(epochs=30, batch_size=8, seed=0)
     params, _ = train_params(params_from_network(net), ds, cfg)
-    assert params.A[1, 0] == 0.0
-    assert params.b[1] == -1.0
+    assert params.W[1, 0] == 0.0
+    assert params.W[1, 1] == -1.0
 
 
 def test_truncated_normal_bounds_and_determinism():
     p1 = truncated_normal_params(50, 3, 42)
     p2 = truncated_normal_params(50, 3, 42)
-    for arr in (p1.A, p1.b, p1.c):
+    for arr in (p1.W, p1.c):
         assert np.abs(arr).max() <= INIT_TRUNCATION * INIT_STDDEV
-    assert np.array_equal(p1.A, p2.A) and np.array_equal(p1.c, p2.c)
+    assert np.array_equal(p1.W, p2.W) and np.array_equal(p1.c, p2.c)
+
+
+@pytest.mark.parametrize("n_nodes, input_dim, seed", [(50, 3, 42), (76, 2, 7), (1, 1, 0)])
+def test_truncated_normal_draws_a_then_b_then_c(n_nodes, input_dim, seed):
+    # random inits keep their draw order: A, then b, then c, from one fresh init
+    # stream, each redrawing its out-of-bound entries until none is left
+    rng = substream(seed, "init")
+    bound = INIT_TRUNCATION * INIT_STDDEV
+
+    def draw(shape):
+        out = rng.normal(0.0, INIT_STDDEV, size=shape)
+        while np.any(bad := np.abs(out) > bound):
+            out[bad] = rng.normal(0.0, INIT_STDDEV, size=int(bad.sum()))
+        return out
+
+    A, b, c = draw((n_nodes, input_dim)), draw(n_nodes), draw(n_nodes)
+    p = truncated_normal_params(n_nodes, input_dim, seed)
+    assert p.W.shape == (n_nodes, input_dim + 1) and p.c.shape == (n_nodes,)
+    for got, want in ((p.W[:, :-1], A), (p.W[:, -1], b), (p.c, c)):
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64))
 
 
 def test_params_network_round_trip(rng):
-    params = NetParams(rng.standard_normal((5, 2)), rng.standard_normal(5),
-                       rng.standard_normal(5))
+    params = NetParams(rng.standard_normal((5, 3)), rng.standard_normal(5))
     net = params_to_network(params, 2)
     X = rng.uniform(-1, 1, size=(9, 2))
     assert np.allclose(batch_eval(net, X), forward(params, X), rtol=1e-12, atol=1e-12)
