@@ -141,35 +141,27 @@ class Dictionary:
     ``features`` is then a Fortran-ordered view, and greedy's
     ``features.T @ q`` GEMVs read that buffer row by row.
     ``directions`` is the (n_atoms, d+1) array whose row j is [a_j | b_j],
-    unit norm, the same layout as a row of the directions CSV.
-    ``source_indices[j]`` is the row of atom j in the directions the
-    dictionary was built from, which also held the directions dropped as
-    dead (see ``sampling.build_dictionary``).
+    unit norm, the same layout as a row of the directions CSV, and names atom j.
     """
 
     features: np.ndarray
     raw_norms: np.ndarray
     directions: np.ndarray
-    source_indices: np.ndarray
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
         raw_norms = np.asarray(self.raw_norms, dtype=np.float64).ravel()
         directions = check_directions(self.directions)
-        source_indices = np.asarray(self.source_indices, dtype=np.intp).ravel()
         if features.ndim != 2:
             raise ValueError("features must be a 2-d matrix (n_train, n_atoms)")
-        if not features.shape[1] == raw_norms.size == len(directions) == source_indices.size:
-            raise ValueError("features columns, raw_norms, directions and source_indices must align")
-        if np.unique(source_indices).size != source_indices.size:
-            raise ValueError("source_indices must be unique")
+        if not features.shape[1] == raw_norms.size == len(directions):
+            raise ValueError("features columns, raw_norms and directions must align")
         norms = np.sqrt(np.einsum("ij,ij->j", features, features))  # no (n_train, n_atoms) temporary
         if not np.all(np.abs(norms - 1.0) <= 1e-10):
             raise ValueError("all atom feature columns must be finite with unit norm")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "raw_norms", raw_norms)
         object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "source_indices", source_indices)
 
     @property
     def n_atoms(self) -> int:

@@ -200,14 +200,14 @@ def build_dictionary(dataset: Dataset, directions, drop_tol: float = 1e-12) -> D
     """Normalized ReLU activation vectors for each row [a | b] of ``directions``.
 
     Directions whose activations have l2 norm <= drop_tol on the training
-    inputs carry no information and are dropped; ``source_indices`` keeps
-    the row of every kept atom in ``directions``.
+    inputs carry no information and are dropped; the rest keep their order,
+    and ``live_rows`` names their rows in ``directions``.
     """
     W = check_directions(directions, dataset.dim)
     rows, norms, kept = _atom_rows(dataset.inputs, W[:, :-1], W[:, -1], drop_tol)
     if not kept.size:
         raise ValueError("every sampled direction is dead on the training set")
-    return Dictionary(features=rows.T, raw_norms=norms, directions=W[kept], source_indices=kept)
+    return Dictionary(features=rows.T, raw_norms=norms, directions=W[kept])
 
 
 # --- CSV import/export -------------------------------------------------
@@ -245,8 +245,8 @@ def load_directions_csv(path, dim: int) -> np.ndarray:
 
 
 def save_dictionary_csv(rows, path) -> None:
-    """One row per atom of ``rows`` (DictionaryRows, or a Dictionary): source
-    index, direction coordinates, raw norm."""
+    """One row per atom of ``rows`` (DictionaryRows): source index, direction
+    coordinates, raw norm."""
     d = rows.directions.shape[1] - 1
     write_csv_table(path, ["source_index"] + [f"a{i+1}" for i in range(d)] + ["b", "raw_norm"],
                     [rows.source_indices, *rows.directions.T, rows.raw_norms])
@@ -259,7 +259,8 @@ def read_dictionary_csv(path, dim: int | None = None) -> DictionaryRows:
     if not len(data):
         raise ValueError("no atom rows")
     source = data[:, 0].astype(np.intp)
-    if not np.array_equal(source, data[:, 0]) or np.unique(source).size != source.size:
+    # duplicates found by sorting: np.unique would import numpy.ma
+    if not np.array_equal(source, data[:, 0]) or not np.diff(np.sort(source)).all():
         raise ValueError("source_index entries must be unique integers")
     raw_norms = data[:, -1]
     if not np.all(np.isfinite(raw_norms) & (raw_norms > 0.0)):

@@ -82,19 +82,25 @@ def gradients(W: np.ndarray, c: np.ndarray, X1: np.ndarray, y: np.ndarray,
     rows, the third keeping the residual) or fresh arrays. On non-NaN z, np.maximum(z, 0.0) is
     np.where(z > 0, z, 0.0) bit for bit (both map -0.0 to +0.0); its sign is the gate as 0.0 or 1.0."""
     act, P, e, e_col, r_col, act_T, P_T = work or work_buffers((y.size,), c.shape[-1], c.shape[:-1])[y.size]
-    # equal bits; np.dot's call is cheaper on few rows, np.matmul's GEMM on many
-    product = np.dot if W.ndim == 2 and y.size <= 64 else np.matmul
-    product(X1, W.swapaxes(-1, -2), out=act)
-    np.maximum(act, 0.0, out=act)
+    product = _forward(W, c, X1, y, act, e, e_col)
     np.sign(act, out=P)
     c_col = c[..., None]
-    product(act, c_col, out=e_col)
-    e -= y
     np.multiply(e_col, 2.0 / y.size, out=r_col)
     product(act_T, r_col, out=gc[..., None])
     P *= r_col  # (batch, nodes)
     product(P_T, X1, out=gW)
     gW *= c_col
+
+
+def _forward(W, c, X1, y, act, e, e_col):
+    """``gradients``' forward half, act = relu(X1 @ W.T) and e = act @ c - y; returns its product call."""
+    # equal bits; np.dot's call is cheaper on few rows, np.matmul's GEMM on many
+    product = np.dot if W.ndim == 2 and y.size <= 64 else np.matmul
+    product(X1, W.swapaxes(-1, -2), out=act)
+    np.maximum(act, 0.0, out=act)
+    product(act, c[..., None], out=e_col)
+    e -= y
+    return product
 
 
 def work_buffers(sizes, n_nodes: int, lead: tuple = ()) -> dict:
@@ -179,7 +185,8 @@ def train_params(params: NetParams, train_set: Dataset, cfg: TrainConfig) -> tup
         if not full:
             record(epoch)
     if full and cfg.epochs:
-        gradients(W, c, X1, y, gW, gc, views[n])
+        act, _, e, e_col = views[n][:4]
+        _forward(W, c, X1, y, act, e, e_col)
         record(cfg.epochs - 1)
     return NetParams(W.copy(), c.copy()), curve
 

@@ -27,7 +27,6 @@ def synthetic_dictionary(features: np.ndarray) -> Dictionary:
         features=features,
         raw_norms=np.ones(n_atoms),
         directions=np.column_stack([np.cos(angles), np.sin(angles)]),
-        source_indices=np.arange(n_atoms),
     )
 
 

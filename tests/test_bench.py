@@ -2,6 +2,9 @@ import contextlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -238,7 +241,7 @@ def test_pruned_pipeline_dictionary_matches_prune_of_full_build(monkeypatch, zer
 
     train_set = bench.make_datasets(cfg)[0]
     full = build_dictionary(train_set, dirs, cfg.drop_tol)
-    assert not set(dead) & set(full.source_indices.tolist())
+    assert not (full.directions == dirs[dead[0]]).all(axis=1).any()  # no dead atom
     fld = collapsed_field(train_set, full.directions, cfg.quadrature, threads=cfg.threads)
     with warns():
         expected = prune_dictionary(full, fld, cfg.prune_threshold)
@@ -350,3 +353,42 @@ def test_artifacts_written(tmp_path):
     assert names == expected  # no dataset: gsn sample --config <manifest> regenerates them
     doc = json.loads((tmp_path / run_dir.split("/")[-1] / "manifest.json").read_text())
     assert doc["config"]["target_id"] == "ex1"
+
+
+# a pruned ex3 run, its artifacts, and a dictionary CSV written and read back; argv:
+# output directory. Exits 3 if numpy itself loads numpy.ma on import (numpy 1.x)
+NO_NUMPY_MA_SCRIPT = """
+import os, sys
+import numpy
+if "numpy.ma" in sys.modules:
+    sys.exit(3)
+from gsn import bench, sampling
+from gsn.train import TrainConfig
+
+out = sys.argv[1]
+cfg = bench.ExperimentConfig(target_id="ex3", n_train=16, n_val=6, n_test=64, dict_size=200,
+                             max_iter=8, gsn_train=TrainConfig(epochs=3, batch_size=16, seed=1),
+                             random_train=TrainConfig(epochs=3, batch_size=4, seed=1),
+                             n_restarts=2, seed=0)
+report = bench.run_experiment(cfg)
+assert report.base.dictionary_size_after < report.base.dictionary_size_before
+bench.write_run_artifacts(report, out)
+path = os.path.join(out, "dictionary.csv")
+sampling.save_dictionary_csv(
+    sampling.live_rows(bench.make_datasets(cfg)[0], bench.make_directions(cfg)), path)
+assert len(sampling.read_dictionary_csv(path, 2).directions) == report.base.dictionary_size_before
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_pruned_run_does_not_import_numpy_ma(tmp_path):
+    # importing numpy.ma costs ~10 ms, paid once per process, and np.unique imports
+    # it (numpy 2.4): a pruned run and a dictionary CSV read must not. A fresh
+    # process, since pytest's own may already hold the module
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bench.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_MA_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    if proc.returncode == 3:
+        pytest.skip("this numpy imports numpy.ma on import")
+    assert proc.returncode == 0, proc.stderr

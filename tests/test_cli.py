@@ -13,8 +13,9 @@ from gsn import bench, cli
 from gsn.bench import PipelineError
 from gsn.core import Dataset
 from gsn.ridgelet import CollapsedField, load_field_csv, prune_dictionary, save_field_csv
-from gsn.sampling import (build_dictionary, load_dataset_csv, load_directions_csv,
-                          read_dictionary_csv, save_dataset_csv, save_dictionary_csv)
+from gsn.sampling import (DictionaryRows, build_dictionary, load_dataset_csv,
+                          load_directions_csv, read_dictionary_csv, save_dataset_csv,
+                          save_dictionary_csv)
 
 
 def run_cli(*argv):
@@ -850,6 +851,13 @@ def staged_field(out, field):
     return path
 
 
+def feature_route_rows(dictionary, directions):
+    """The DictionaryRows of a Dictionary built from ``directions``: each atom's
+    source index is the row of ``directions`` that equals its direction."""
+    source = (dictionary.directions[:, None] == directions).all(axis=2).argmax(axis=1)
+    return DictionaryRows(source, dictionary.directions, dictionary.raw_norms)
+
+
 @pytest.mark.parametrize("field", ["ridgelet", "zero"])
 def test_dict_and_prune_match_the_feature_route(tmp_path, field):
     # gsn dict and gsn prune write rows without features; their files equal those
@@ -857,15 +865,17 @@ def test_dict_and_prune_match_the_feature_route(tmp_path, field):
     out = staged_dictionary(tmp_path)
     train_set = load_dataset_csv(out / "train.csv")
     directions = load_directions_csv(out / "directions.csv", 1)
+    assert len(np.unique(directions, axis=0)) == len(directions)  # so each atom names one row
     full = build_dictionary(train_set, directions)
     assert 0 < full.n_atoms < len(directions)  # dead directions are left out
-    save_dictionary_csv(full, tmp_path / "reference.csv")
+    save_dictionary_csv(feature_route_rows(full, directions), tmp_path / "reference.csv")
     assert (out / "dictionary.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     fld = load_field_csv(staged_field(out, field))
     threshold = bench.ExperimentConfig.prune_threshold
     with pytest.warns(RuntimeWarning, match="zero") if field == "zero" else contextlib.nullcontext():
-        save_dictionary_csv(prune_dictionary(full, fld, threshold), tmp_path / "reference.csv")
+        save_dictionary_csv(feature_route_rows(prune_dictionary(full, fld, threshold), directions),
+                            tmp_path / "reference.csv")
         assert run_cli("prune", "--dict", str(out / "dictionary.csv"),
                        "--field", str(out / "field.csv"), "--out", str(out / "pruned.csv")) == 0
     assert (out / "pruned.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

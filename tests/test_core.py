@@ -110,7 +110,7 @@ BAD_ROWS = {
 }
 
 CONTAINERS = {
-    "Dictionary": lambda W: Dictionary(np.eye(len(W)), np.ones(len(W)), W, np.arange(len(W))),
+    "Dictionary": lambda W: Dictionary(np.eye(len(W)), np.ones(len(W)), W),
     "CollapsedField": lambda W: CollapsedField(W, np.zeros(len(W))),
     "ShallowNetwork": lambda W: ShallowNetwork(W, np.ones(len(W))),
 }
@@ -129,7 +129,7 @@ def test_dictionary_rejects_non_unit_feature_columns(bad):
     features = np.eye(3)
     features[:, 1] = [bad, 0.0, 0.0]
     with pytest.raises(ValueError, match="finite with unit norm"):
-        Dictionary(features, np.ones(3), [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], np.arange(3))
+        Dictionary(features, np.ones(3), [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
 
 
 @pytest.mark.parametrize("container", sorted(CONTAINERS))

@@ -16,6 +16,7 @@ from gsn.core import BLOCK_BUDGET, Dataset
 from gsn.ridgelet import (
     CollapsedField,
     RadialQuadrature,
+    _far_cutoff,
     _gamma_cutoff,
     _gamma_p_over_power,
     _radial_profile,
@@ -165,6 +166,44 @@ def test_gamma_p_over_power_cutoff(dim):
     assert np.array_equal(_gamma_p_over_power(a, x), 1.0 / x**a)
 
 
+def full_range_profile(X, dimension):
+    """g_d(X) with E = 2 (2 - a - x) e^-x summed at every x, the far range included."""
+    a = 0.5 * (dimension + 2)
+    x = np.maximum(0.5 * X * X, 1e-18)
+    g = 2.0 * (2.0 - a - x) * np.exp(-x)
+    c = math.gamma(a) * (2.0 * a * a - 4.0 * a + 1.5)
+    if c:
+        g += c * _gamma_p_over_power(a, x)
+    return g
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_radial_profile_far_range_keeps_the_bits(dim):
+    # from x_far on, g_d is c x^-a alone (d >= 2); that must give the bits of the
+    # full sum. X = sqrt(2 x) for x at integers up to 120, at quarter steps across
+    # x_c and x_far (41 to 60) and at both cutoffs, each with float neighbours;
+    # then 0, tiny X (x raised to 1e-18) and a random spread
+    a = 0.5 * (dim + 2)
+    c = math.gamma(a) * (2.0 * a * a - 4.0 * a + 1.5)
+    edges = []
+    if dim > 1:
+        far, cut = _far_cutoff(a, c), _gamma_cutoff(a)
+        assert 2.0 * (far + a - 2.0) * math.exp(-far) < 2.0**-56 * c * far**-a
+        assert far == cut or 2.0 * (far + a - 3.0) * math.exp(1.0 - far) >= 2.0**-56 * c * (far - 1.0)**-a
+        edges = [cut, far]
+    X = np.sqrt(2.0 * np.concatenate([np.arange(121.0), np.arange(41.0, 60.0, 0.25), edges]))
+    for _ in range(4):
+        X = np.concatenate([X, np.nextafter(X, 0.0), np.nextafter(X, np.inf)])
+    X = np.concatenate([X, [0.0, 1e-30, 1e-12, math.sqrt(2e-18)],
+                        np.random.default_rng(dim).uniform(0.0, 20.0, 50_000)])
+    x = 0.5 * X * X
+    for edge in edges:  # within 1e-14 relative of each cutoff, on both sides
+        assert 0.0 < edge - x[x < edge].max() <= 1e-14 * edge
+        assert 0.0 <= x[x >= edge].min() - edge <= 1e-14 * edge
+    got, want = _radial_profile(X, dim), full_range_profile(X, dim)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_d1_field_vanishes_away_from_hyperplane():
     # int_0^inf r^2 tau(r s) dr = 0 for d = 1: points with R|s| large add
     # nothing, while for d = 2 the same points still contribute
@@ -265,7 +304,7 @@ def test_prune_single_atom_kept(rng):
     dic = build_dictionary(ds, sample_circle(40, seed=3))
     one = prune_dictionary(dic, _field_for(dic, np.arange(dic.n_atoms) == 5), 0.9)
     assert one.n_atoms == 1
-    assert one.source_indices[0] == dic.source_indices[5]
+    assert np.array_equal(one.directions, dic.directions[5:6])
 
 
 def test_prune_submultiset_and_max_kept(rng):
@@ -273,13 +312,12 @@ def test_prune_submultiset_and_max_kept(rng):
     dic = build_dictionary(ds, sample_circle(60, seed=8))
     values = rng.standard_normal(dic.n_atoms)
     pruned = prune_dictionary(dic, _field_for(dic, values), 0.25)
-    assert set(pruned.source_indices) <= set(dic.source_indices)
-    peak_src = dic.source_indices[int(np.argmax(np.abs(values)))]
-    assert peak_src in pruned.source_indices
+    # each kept atom is an atom of the original dictionary, found by its direction
+    rows = [dic.directions.tolist().index(w) for w in pruned.directions.tolist()]
+    assert rows == sorted(set(rows))
+    assert int(np.argmax(np.abs(values))) in rows
     # kept features are identical columns of the original dictionary
-    for j, src in enumerate(pruned.source_indices):
-        k = dic.source_indices.tolist().index(src)
-        assert np.array_equal(pruned.features[:, j], dic.features[:, k])
+    assert np.array_equal(pruned.features, dic.features[:, rows])
 
 
 def test_prune_degenerate_all_zero_warns(rng):

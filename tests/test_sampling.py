@@ -130,9 +130,8 @@ def test_build_dictionary_constant_atom():
     assert len(up) == 1
     col = dic.features[:, up[0]]
     assert np.allclose(col, 1.0 / math.sqrt(3.0))
-    # (0, -1), row 1, is dead everywhere -> discarded; the rows kept are named
-    assert dic.source_indices.tolist() == [0, 2, 3]
-    assert np.array_equal(dic.directions, dirs[dic.source_indices])
+    # (0, -1), row 1, is dead everywhere -> discarded; the rows kept keep their order
+    assert np.array_equal(dic.directions, dirs[[0, 2, 3]])
 
 
 def test_build_dictionary_hand_case():
@@ -230,24 +229,24 @@ def test_build_dictionary_matches_unblocked_reference():
         assert not set(dead) & set(kept.tolist()), name
         assert np.array_equal(bits(dic.features), bits(feats[:, kept] / norms[kept])), name
         assert np.array_equal(bits(dic.raw_norms), bits(norms[kept])), name
-        assert np.array_equal(dic.source_indices, kept), name
         assert np.array_equal(dic.directions, dirs[kept]), name
         assert dic.features.flags.f_contiguous, name
 
 
 def test_dictionary_csv_round_trip_same_bits(tmp_path):
-    # the rows of a saved dictionary read back bit for bit, equal the rows that
-    # live_rows finds, and rebuild the same features through build_dictionary
+    # the rows that live_rows finds read back bit for bit, name the directions of
+    # build_dictionary's atoms, and rebuild the same features through build_dictionary
     ds, dirs, _ = blocked_case()
     dic = build_dictionary(ds, dirs)
+    live = sampling.live_rows(ds, dirs)
     path = tmp_path / "dict.csv"
-    save_dictionary_csv(dic, path)
+    save_dictionary_csv(live, path)
     rows = read_dictionary_csv(path, ds.dim)
-    assert np.array_equal(rows.source_indices, dic.source_indices)
+    assert np.array_equal(rows.source_indices, live.source_indices)
+    assert np.array_equal(bits(rows.raw_norms), bits(live.raw_norms))
     assert np.array_equal(bits(rows.raw_norms), bits(dic.raw_norms))
+    assert np.array_equal(bits(rows.directions), bits(dirs[rows.source_indices]))
     assert np.array_equal(bits(rows.directions), bits(dic.directions))
-    save_dictionary_csv(sampling.live_rows(ds, dirs), tmp_path / "live.csv")
-    assert (tmp_path / "live.csv").read_bytes() == path.read_bytes()
     back = build_dictionary(ds, rows.directions, 0.0)
     assert np.array_equal(bits(back.features), bits(dic.features))
     assert np.array_equal(bits(back.raw_norms), bits(dic.raw_norms))
