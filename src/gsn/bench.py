@@ -119,6 +119,14 @@ def compute_errors(net: ShallowNetwork, test_set: Dataset) -> ErrorSummary:
     return ErrorSummary(abs_l2, rmse, float("inf") if abs_l2 else 0.0, False)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which taskset and cgroup cpusets limit, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # AttributeError: no sched_getaffinity off Linux
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     target_id: str
@@ -137,7 +145,7 @@ class ExperimentConfig:
     n_restarts: int = 10
     seed: int = 0
     quad_r_max: float = 40.0
-    threads: int = 1                # worker threads: recorded in meta, not in to_dict()
+    threads: int = field(default_factory=_usable_cpus)  # worker threads: in meta, not in to_dict()
     notes: tuple = ()
 
     def __post_init__(self):

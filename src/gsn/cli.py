@@ -32,19 +32,6 @@ class UsageError(CliError):
     """A fault in the command line itself; only this kind is followed by the usage line."""
 
 
-def default_threads() -> int:
-    env = os.environ.get("GSN_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise CliError(f"GSN_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise CliError("GSN_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
 def available_memory_bytes() -> int | None:
     """MemAvailable from /proc/meminfo, or None where it cannot be read."""
     try:
@@ -77,13 +64,10 @@ def _load(loader, path: str, role: str, *args):
         raise CliError(f"malformed {role} file {path}: {exc}") from exc
 
 
-def load_experiment_config(path: str | None, target_id: str | None = None, seed: int | None = None,
-                           env_threads: bool = True) -> bench.ExperimentConfig:
-    """The config file laid over the example defaults. The file holds a full or
-    partial manifest 'config' object, or a whole manifest, whose 'config' object
-    is read. Its ``threads``, which an older file may hold, sets the worker count
-    alone; a file without one gets GSN_THREADS or the CPU count if ``env_threads``,
-    else 1 (where a flag sets the count, or no worker thread runs)."""
+def load_experiment_config(path: str | None, target_id: str | None = None,
+                           seed: int | None = None) -> bench.ExperimentConfig:
+    """The config file laid over the example defaults. The file holds a full or partial
+    manifest 'config' object, or a whole manifest, whose 'config' object is read."""
     if not (path or target_id):
         raise UsageError(f"give an example id ({', '.join(bench.EXAMPLE_IDS)}) or a --config file")
     doc = _load(bench.load_manifest, path, "config") if path else {}
@@ -92,8 +76,7 @@ def load_experiment_config(path: str | None, target_id: str | None = None, seed:
     if "config" in doc and set(doc) <= {"meta", "config", "results"}:
         doc = doc["config"]
     try:
-        env = {"threads": default_threads()} if env_threads and "threads" not in doc else {}
-        return bench.config_from_dict({**env, **doc}, target_id, seed)
+        return bench.config_from_dict(doc, target_id, seed)
     except ValueError as exc:  # a fault of the command line's example id or seed, else of the file
         if (seed or 0) < 0:
             raise UsageError(f"invalid --seed: {exc}") from exc
@@ -103,7 +86,7 @@ def load_experiment_config(path: str | None, target_id: str | None = None, seed:
 def _with_flags(obj, args, flags: dict):
     """``obj`` with the fields of the flags given replaced, checked by its own
     __post_init__; ``flags`` maps each field to its flag, whose dest it is."""
-    given = {field: getattr(args, field) for field in flags if getattr(args, field, None) is not None}
+    given = {field: getattr(args, field) for field in flags if getattr(args, field) is not None}
     try:
         return replace(obj, **given)
     except ValueError as exc:
@@ -111,21 +94,19 @@ def _with_flags(obj, args, flags: dict):
 
 
 def build_experiment_config(args) -> bench.ExperimentConfig:
-    """The config of `gsn bench`/`gsn sample`: file, then flags (`gsn sample` has no --threads)."""
-    cfg = load_experiment_config(args.config, args.example, args.seed, getattr(args, "threads", 0) is None)
+    """The config of `gsn bench`/`gsn sample`: file, then flags."""
+    cfg = load_experiment_config(args.config, args.example, args.seed)
     train_flags = {"epochs": "--epochs", "batch_size": "--batch"}
     cfg = replace(cfg, gsn_train=_with_flags(cfg.gsn_train, args, train_flags),
                   random_train=_with_flags(cfg.random_train, args, train_flags))
-    return _with_flags(cfg, args, {"n_nodes": "--nodes", "n_restarts": "--restarts",
-                                   "threads": "--threads", "prune": "--no-prune"})
+    return _with_flags(cfg, args, {"n_nodes": "--nodes", "n_restarts": "--restarts", "prune": "--no-prune"})
 
 
 def _stage_config(args) -> bench.ExperimentConfig:
     """A stage's config: its --config file, else the ExperimentConfig defaults (the example
-    and sizes are placeholders), with the stage's flags (``args.flags``), --threads too."""
-    env = getattr(args, "threads", 0) is None
-    cfg = (load_experiment_config(args.config, env_threads=env) if args.config else
-           bench.ExperimentConfig(bench.EXAMPLE_IDS[0], 1, 1, 1, 1, threads=default_threads() if env else 1))
+    and sizes are placeholders), with the stage's flags (``args.flags``)."""
+    cfg = (load_experiment_config(args.config) if args.config else
+           bench.ExperimentConfig(bench.EXAMPLE_IDS[0], 1, 1, 1, 1))
     return _with_flags(cfg, args, args.flags)
 
 
@@ -322,9 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random-init restarts")
         p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
         p.add_argument("--config", default=None, help=config_help)
-        if name == "bench":  # gsn sample runs no worker threads
-            p.add_argument("--threads", type=int, default=None,
-                           help="worker threads (default: GSN_THREADS or CPU count)")
         p.add_argument("--out", default="runs", help="output directory")
         p.set_defaults(fn=fn)
 
@@ -345,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     stage("dict", cmd_dict, "build the atom dictionary from artifacts",
           ["--train", "--directions"], [("--drop-tol", "drop_tol", float)])
     stage("ridgelet", cmd_ridgelet, "collapsed transform over the dictionary rows",
-          ["--train", "--dict"],
-          [("--r-max", "quad_r_max", float), ("--threads", "threads", int)])
+          ["--train", "--dict"], [("--r-max", "quad_r_max", float)])
     stage("prune", cmd_prune, "threshold the dictionary rows by field magnitude",
           ["--dict", "--field"], [("--threshold", "prune_threshold", float)])
     p = stage("greedy", cmd_greedy, "orthogonal greedy selection over a dictionary",

@@ -116,6 +116,13 @@ def test_default_config_tables():
         default_config("nope")
 
 
+def test_default_worker_count_is_the_usable_cpus():
+    # the affinity set, which taskset and cgroup cpusets limit and os.cpu_count() ignores
+    usable = len(os.sched_getaffinity(0))
+    assert ExperimentConfig("ex1", 1, 1, 1, 1).threads == usable
+    assert default_config("ex3").threads == usable
+
+
 def test_config_hash_changes_with_fields():
     a, b = tiny_config(), tiny_config(seed=1)
     assert bench.config_hash(a.to_dict()) != bench.config_hash(b.to_dict())

@@ -2,6 +2,7 @@ import contextlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -231,7 +232,6 @@ def test_ridgelet_stage_rows(tmp_path):
     out = staged_dictionary(tmp_path)
     assert run_cli("ridgelet", "--train", str(out / "train.csv"),
                    "--dict", str(out / "dictionary.csv"),
-                   "--threads", "1",
                    "--out", str(out / "field.csv")) == 0
     rows = read_dictionary_csv(out / "dictionary.csv", 1)
     assert np.array_equal(load_field_csv(out / "field.csv").directions, rows.directions)
@@ -367,23 +367,21 @@ def test_bench_config_round_trip(tmp_path, source):
     assert bench_dir(tmp_path / "d", "--config", str(cfgp), "--seed", "4") == reseeded != original
 
 
-def test_bench_run_is_the_same_at_any_thread_count(tmp_path, monkeypatch):
-    # the thread count, from --threads or GSN_THREADS, is a runtime setting: the
-    # manifest's meta records it, and no other byte of the run directory holds it
+def test_bench_run_is_the_same_at_any_thread_count(tmp_path):
+    # the worker count, from a config file's threads or else the CPUs the process
+    # may use, is a runtime setting: the manifest's meta records it, and no other
+    # byte of the run directory holds it
     runs = []
-    for name, flags, env in (("a", ["--threads", "1"], None), ("b", ["--threads", "2"], None),
-                             ("c", [], "3")):
-        monkeypatch.delenv("GSN_THREADS", raising=False)
-        if env:
-            monkeypatch.setenv("GSN_THREADS", env)
+    for name, fields in (("a", {"threads": 1}), ("b", {"threads": 3}), ("c", {})):
         out = tmp_path / name
         out.mkdir()
-        assert run_cli(*bench_args(out, *flags)) == 0
+        assert run_cli("bench", "ex1", "--seed", "0", "--epochs", "2", "--restarts", "1", "--out", str(out),
+                       "--config", str(write_tiny_config(out, **fields))) == 0
         (run_dir,) = [p for p in out.iterdir() if p.is_dir()]
         runs.append(run_dir)
     assert len({run_dir.name for run_dir in runs}) == 1
     manifests = [bench.load_manifest(run_dir / "manifest.json") for run_dir in runs]
-    assert [m["meta"]["threads"] for m in manifests] == [1, 2, 3]
+    assert [m["meta"]["threads"] for m in manifests] == [1, 3, len(os.sched_getaffinity(0))]
     assert all(bench.strip_meta(m) == bench.strip_meta(manifests[0]) for m in manifests)
     assert "threads" not in manifests[0]["config"]
     names = sorted(p.name for p in runs[0].iterdir())
@@ -395,12 +393,13 @@ def test_bench_run_is_the_same_at_any_thread_count(tmp_path, monkeypatch):
                 assert (run_dir / name).read_bytes() == (runs[0] / name).read_bytes(), name
 
 
-def test_config_file_threads_sets_only_the_worker_count(tmp_path, monkeypatch):
-    # a file written while the config object held threads still loads: its value
-    # beats GSN_THREADS as the worker count, and is neither written back nor hashed
-    monkeypatch.setenv("GSN_THREADS", "2")
+def test_config_file_threads_sets_only_the_worker_count(tmp_path):
+    # a file written while the config object held threads still loads: its value,
+    # not the CPUs the process may use, is the worker count, and is neither written
+    # back nor hashed
+    usable = len(os.sched_getaffinity(0))
     manifests = []
-    for name, fields in (("a", {}), ("b", {"threads": 1})):
+    for name, fields in (("a", {}), ("b", {"threads": usable + 1})):
         out = tmp_path / name
         assert run_cli("bench", "ex1", "--epochs", "2", "--restarts", "1", "--out", str(out),
                        "--config", str(write_tiny_config(tmp_path, **fields))) == 0
@@ -408,31 +407,21 @@ def test_config_file_threads_sets_only_the_worker_count(tmp_path, monkeypatch):
         manifests.append((run_dir.name, bench.load_manifest(run_dir / "manifest.json")))
     (name_a, doc_a), (name_b, doc_b) = manifests
     assert name_a == name_b
-    assert (doc_a["meta"]["threads"], doc_b["meta"]["threads"]) == (2, 1)
+    assert (doc_a["meta"]["threads"], doc_b["meta"]["threads"]) == (usable, usable + 1)
     assert "threads" not in doc_b["config"]
 
 
-def test_malformed_gsn_threads_is_read_only_where_it_sets_the_count(tmp_path, monkeypatch, capsys):
-    # GSN_THREADS comes after the flag and the file: a bad value refuses only a
-    # command whose worker count it would set, and the message names it
-    monkeypatch.setenv("GSN_THREADS", "zero")
-    for name, flags in (("flag", ["--threads", "2"]), ("file", [])):
-        out = tmp_path / name
-        out.mkdir()
-        args = bench_args(out, *flags)
-        if not flags:
-            write_tiny_config(out, threads=1)
-        assert run_cli(*args) == 0
-        assert manifest_in(out)["meta"]["threads"] == (2 if flags else 1)
-    work = tmp_path / "work"
-    assert run_cli("sample", "ex1", "--seed", "0", "--config", str(write_tiny_config(tmp_path)),
-                   "--out", str(work)) == 0
-    assert run_cli("dict", "--config", str(work / "config.json"), "--train", str(work / "train.csv"),
-                   "--directions", str(work / "directions.csv"), "--out", str(work / "dictionary.csv")) == 0
-    capsys.readouterr()
-    (tmp_path / "env").mkdir()
-    assert run_cli(*bench_args(tmp_path / "env")) == 2
-    assert "GSN_THREADS must be an integer, got 'zero'" in capsys.readouterr().err
+@pytest.mark.skipif(shutil.which("taskset") is None, reason="taskset is not installed")
+def test_bench_worker_count_follows_taskset(tmp_path):
+    # taskset limits the CPUs the process may use, and with them its worker count,
+    # which os.cpu_count() would not see
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cpu = str(min(os.sched_getaffinity(0)))
+    proc = subprocess.run(["taskset", "-c", cpu, sys.executable, "-m", "gsn.cli", *bench_args(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert manifest_in(tmp_path)["meta"]["threads"] == 1
 
 
 @pytest.mark.parametrize("example, node_counts", [("ex1", None), ("ex6", [10, 20, 40, 80, 160])])
@@ -445,14 +434,6 @@ def test_sample_config_is_the_config_document(tmp_path, example, node_counts):
     assert "threads" not in doc
     assert doc["node_counts"] == node_counts
     assert doc == bench.config_from_dict(doc).to_dict()
-
-
-def test_sample_takes_no_threads_flag(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("sample", "ex1", "--threads", "1", "--out", str(tmp_path / "out"))
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 
 def test_artifacts_end_lines_with_lf(tmp_path):
@@ -580,14 +561,6 @@ def test_bench_prune_flag_pairs_within_ten_percent(tmp_path):
     assert abs(rel_a - rel_b) <= 0.10 * rel_b
 
 
-def test_gsn_threads_env(monkeypatch):
-    monkeypatch.setenv("GSN_THREADS", "3")
-    assert cli.default_threads() == 3
-    monkeypatch.setenv("GSN_THREADS", "zero")
-    with pytest.raises(cli.CliError):
-        cli.default_threads()
-
-
 def test_available_memory_reader():
     avail = cli.available_memory_bytes()
     assert avail is None or avail > 0
@@ -640,15 +613,12 @@ def test_dict_drop_tol_default_matches_bench(tmp_path):
     assert 0 < build_dictionary(train_set, directions, tol).n_atoms < len(directions)
 
 
-@pytest.mark.parametrize("argv", [["dict", "--drop-tol", "-1"], ["dict", "--drop-tol", "nan"],
-                                  ["ridgelet", "--threads", "-1"], ["ridgelet", "--threads", "0"]],
+@pytest.mark.parametrize("argv", [["dict", "--drop-tol", "-1"], ["dict", "--drop-tol", "nan"]],
                          ids=" ".join)
 def test_stage_flags_checked_by_config(tmp_path, capsys, argv):
     out = staged_dictionary(tmp_path)
-    rows = {"dict": ["--directions", str(out / "directions.csv")],
-            "ridgelet": ["--dict", str(out / "dictionary.csv")]}[argv[0]]
     code = run_cli(*argv, "--config", str(out / "config.json"), "--train", str(out / "train.csv"),
-                   *rows, "--out", str(out / "result.csv"))
+                   "--directions", str(out / "directions.csv"), "--out", str(out / "result.csv"))
     assert code == 2
     assert f"invalid {argv[1]}: " in capsys.readouterr().err
     assert not (out / "result.csv").exists()
@@ -695,7 +665,7 @@ def test_malformed_direction_input_exits_2(tmp_path, capsys, stage, fault):
     out = tmp_path / "out"
     argv = {
         "dict": ["dict", "--train", str(train_csv), "--directions", str(bad)],
-        "ridgelet": ["ridgelet", "--train", str(train_csv), "--dict", str(bad), "--threads", "1"],
+        "ridgelet": ["ridgelet", "--train", str(train_csv), "--dict", str(bad)],
         "fit": ["fit", "--train", str(train_csv), "--nodes", str(bad)],
         "train": ["train", "--network", str(bad), "--train", str(train_csv), "--epochs", "1"],
     }[stage]
@@ -723,7 +693,7 @@ def test_ridgelet_without_directions_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("source_index,a1,b,raw_norm\n")
     assert run_cli("ridgelet", "--train", str(out / "train.csv"), "--dict", str(empty),
-                   "--threads", "1", "--out", str(out / "field.csv")) == 2
+                   "--out", str(out / "field.csv")) == 2
     assert f"malformed dictionary file {empty}: no atom rows" in capsys.readouterr().err
     assert not (out / "field.csv").exists()
 
@@ -843,8 +813,7 @@ def staged_field(out, field):
     path = out / "field.csv"
     if field == "ridgelet":
         assert run_cli("ridgelet", "--train", str(out / "train.csv"),
-                       "--dict", str(out / "dictionary.csv"),
-                       "--threads", "1", "--out", str(path)) == 0
+                       "--dict", str(out / "dictionary.csv"), "--out", str(path)) == 0
     else:
         directions = read_dictionary_csv(out / "dictionary.csv", 1).directions
         save_field_csv(CollapsedField(directions, np.zeros(len(directions))), path)
@@ -958,7 +927,7 @@ def test_prune_rejects_field_of_other_directions(tmp_path, capsys, other):
         lines = (out / "dictionary.csv").read_text().splitlines()
         rows.write_text("\n".join(lines[:11]) + "\n")
     assert run_cli("ridgelet", "--train", str(out / "train.csv"), "--dict", str(rows),
-                   "--threads", "1", "--out", str(out / "field.csv")) == 0
+                   "--out", str(out / "field.csv")) == 0
     code = run_cli("prune", "--dict", str(out / "dictionary.csv"),
                    "--field", str(out / "field.csv"), "--out", str(out / "pruned.csv"))
     assert code == 2
@@ -967,7 +936,7 @@ def test_prune_rejects_field_of_other_directions(tmp_path, capsys, other):
 
 
 @pytest.mark.parametrize("flags", [["--nodes", "0"], ["--nodes", "-3"], ["--epochs", "-1"],
-                                   ["--batch", "0"], ["--threads", "0"]], ids=" ".join)
+                                   ["--batch", "0"]], ids=" ".join)
 @pytest.mark.parametrize("example", ["ex1", "ex6"])
 def test_bench_count_flags_checked_before_any_work(tmp_path, capsys, monkeypatch, flags, example):
     def never(*args):
@@ -1039,7 +1008,7 @@ def test_non_finite_training_set_exits_2(tmp_path, capsys, stage, column):
     bad.write_text("\n".join(lines) + "\n")
     argv = {
         "dict": ["dict", "--directions", str(out / "directions.csv")],
-        "ridgelet": ["ridgelet", "--dict", str(out / "dictionary.csv"), "--threads", "1"],
+        "ridgelet": ["ridgelet", "--dict", str(out / "dictionary.csv")],
         "greedy": ["greedy", "--val", str(out / "val.csv"), "--dict", str(out / "dictionary.csv"),
                    "--nodes-out", str(tmp_path / "nodes.json")],
         "fit": ["fit", "--nodes", str(out / "nodes.json")],
