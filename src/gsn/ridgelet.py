@@ -1,7 +1,10 @@
 """Ridgelet-transform machinery for dictionary pruning.
 
-The dual kernel is proportional to the fourth derivative of a Gaussian, so
-it has four vanishing moments and pairs admissibly with the ReLU. Its
+The dual kernel is proportional to the fourth derivative of a Gaussian,
+
+    tau(z) = -(z^4 - 6 z^2 + 3) e^(-z^2/2) / (2 (2 pi)^(d-1/2)),
+
+so it has four vanishing moments and pairs admissibly with the ReLU. Its
 discretized transform, collapsed along rays through sphere directions,
 concentrates where candidate nodes matter for a given target; thresholding
 its magnitude shrinks the dictionary before greedy selection.
@@ -56,19 +59,6 @@ import numpy as np
 
 from .core import (BLOCK_BUDGET, Dataset, Dictionary, check_directions, preactivations,
                    read_csv_table, write_csv_table)
-
-
-def tau(z, dimension: int = 1):
-    """Dual ReLU kernel: -(z^4 - 6 z^2 + 3) * exp(-z^2/2) / (2 (2 pi)^(d-1/2)).
-
-    Evaluated through z*z so the evenness tau(z) == tau(-z) is exact in
-    floating point.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    z2 = z * z
-    scale = 2.0 * (2.0 * math.pi) ** (dimension - 0.5)
-    out = (z2 * (6.0 - z2) - 3.0) / scale * np.exp(-0.5 * z2)
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -182,7 +172,7 @@ def _gamma_p_over_power(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def _radial_profile(X: np.ndarray, dimension: int) -> np.ndarray:
-    """g_d(X) of the module docstring, elementwise over X >= 0."""
+    """g_d(X) of the module docstring, elementwise; only X^2 is read, so X = R s serves for R|s|."""
     a = 0.5 * (dimension + 2)
     x = np.maximum(0.5 * X * X, 1e-18)    # g_d = g_d(0) + O(x): costs << 1 ulp, x^-a stays finite
     c = math.gamma(a) * (2.0 * a * a - 4.0 * a + 1.5)    # zero for d = 1
@@ -235,7 +225,7 @@ def collapsed_field(dataset: Dataset, directions, quad: RadialQuadrature | None 
 
     def run(lo: int, hi: int) -> None:
         S = preactivations(dataset.inputs, A[lo:hi], b[lo:hi])     # (n_train, m)
-        values[lo:hi] = scale * (f @ _radial_profile(R * np.abs(S), d))
+        values[lo:hi] = scale * (f @ _radial_profile(R * S, d))
 
     spans = [(lo, min(lo + chunk, len(W))) for lo in range(0, len(W), chunk)]
     if threads > 1 and len(spans) > 1:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,17 @@ def vector_dataset(values: np.ndarray) -> Dataset:
     n = values.size
     inputs = np.linspace(-1.0, 1.0, n)[:, None]
     return Dataset(inputs, values, np.array([[-1.0, 1.0]]))
+
+
+def tau(z, dimension: int = 1):
+    """The dual ReLU kernel of ``gsn.ridgelet``, whose collapsed field integrates it in
+    closed form: -(z^4 - 6 z^2 + 3) * exp(-z^2/2) / (2 (2 pi)^(d-1/2)).
+
+    Evaluated through z*z so the evenness tau(z) == tau(-z) is exact in
+    floating point.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    z2 = z * z
+    scale = 2.0 * (2.0 * math.pi) ** (dimension - 0.5)
+    out = (z2 * (6.0 - z2) - 3.0) / scale * np.exp(-0.5 * z2)
+    return out if out.ndim else float(out)

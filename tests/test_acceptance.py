@@ -17,11 +17,11 @@ from gsn import bench, greedy, sampling, solve
 from gsn.bench import compute_errors, default_config, strip_meta
 from gsn.core import ShallowNetwork
 from gsn.greedy import GreedyState, GreedyStop, oga_step
-from gsn.ridgelet import collapsed_field, prune_dictionary, tau
+from gsn.ridgelet import collapsed_field, prune_dictionary
 from gsn.train import NetParams, TrainConfig, gradients, params_from_network
 from scipy.integrate import quad
 
-from conftest import synthetic_dictionary, unit_rows
+from conftest import synthetic_dictionary, tau, unit_rows
 
 DESK_EX6 = Path(__file__).resolve().parents[1] / "configs" / "desk" / "ex6.json"
 

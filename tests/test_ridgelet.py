@@ -24,11 +24,10 @@ from gsn.ridgelet import (
     load_field_csv,
     prune_dictionary,
     save_field_csv,
-    tau,
 )
 from gsn.sampling import build_dictionary, sample_circle, sample_gaussian_sphere
 
-from conftest import vector_dataset
+from conftest import tau, vector_dataset
 
 
 @given(z=st.floats(min_value=-15, max_value=15), d=st.integers(min_value=1, max_value=5))
