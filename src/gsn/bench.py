@@ -329,7 +329,8 @@ def run_gsn_pipeline(cfg: ExperimentConfig) -> Construction:
 @dataclass
 class SizeRun:
     """Both branches at one node count: the greedy-initialised network, fitted and
-    then trained, and the best of the random-init restarts."""
+    then trained, and the random-init restart of lowest validation RMSE, with
+    the manifest row of each restart."""
 
     n_nodes: int
     init_net: ShallowNetwork
@@ -355,11 +356,17 @@ def run_size(cfg: ExperimentConfig, base: Construction, n: int) -> SizeRun:
         "fit", lambda: solve.refit_network(base.train_set, base.path_directions[:n]), t)
     trained_net, curve = _staged(
         "train", lambda: train.train(init_net, base.train_set, cfg.gsn_train), t)
-    random_net, restarts, random_curve = _staged("baseline", lambda: train.multi_restart(
-        n, base.train_set, base.val_set, base.test_set, cfg.random_train,
-        sampling.substream_seed(cfg.seed, "init"), cfg.n_restarts), t)
-    return SizeRun(n, init_net, trained_net, curve, random_net, restarts, random_curve,
-                   *(compute_errors(net, base.test_set) for net in (init_net, trained_net, random_net)))
+    init_seed = sampling.substream_seed(cfg.seed, "init")
+    nets, curves = _staged("baseline", lambda: train.multi_restart(
+        n, base.train_set, cfg.random_train, init_seed, cfg.n_restarts), t)
+    # the restart of lowest validation RMSE, as greedy selects its node count; test errors after
+    val = [compute_errors(net, base.val_set).rmse for net in nets]
+    best = int(np.argmin(val))
+    test = [compute_errors(net, base.test_set) for net in nets]
+    restarts = [{"restart": r, "init_seed": init_seed + r, "val_rmse": val[r], "test_rmse": test[r].rmse,
+                 "final_train_loss": float(c[-1]) if c.size else float("nan")} for r, c in enumerate(curves)]
+    return SizeRun(n, init_net, trained_net, curve, nets[best], restarts, curves[best],
+                   *(compute_errors(net, base.test_set) for net in (init_net, trained_net)), test[best])
 
 
 @dataclass
@@ -380,10 +387,7 @@ class ExperimentReport:
                 "selected_nodes": self.run.n_nodes,
                 "greedy_termination": self.base.path.termination,
                 "errors": self.run.errors(),
-                "random_restarts": [
-                    {"restart": r.restart, "init_seed": r.init_seed,
-                     "test_rmse": r.test_error, "final_train_loss": r.final_train_loss}
-                    for r in self.run.random_restarts],
+                "random_restarts": self.run.random_restarts,
             },
         }
 

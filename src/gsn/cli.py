@@ -265,7 +265,8 @@ def _report_lines(path) -> list[str]:
             for name, err in results["errors"].items():
                 lines.append(f"  {name:16s} rel_l2={_number(err['rel_l2'])} rmse={_number(err['rmse'])}")
         for row in results.get("random_restarts", []):
-            lines.append(f"  restart {row['restart']}: test_rmse={_number(row['test_rmse'])} "
+            lines.append(f"  restart {row['restart']}: val_rmse={_number(row.get('val_rmse'))} "
+                         f"test_rmse={_number(row['test_rmse'])} "
                          f"final_train_loss={_number(row['final_train_loss'])}")
         for row in results.get("sweep", []):
             if row.get("available"):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, GsnError, ShallowNetwork, batch_eval, rescale_node, write_csv_table
+from .core import Dataset, GsnError, ShallowNetwork, rescale_node, write_csv_table
 from .sampling import substream
 
 ADAM_BETA1 = 0.9
@@ -217,23 +217,13 @@ def truncated_normal_params(n_nodes: int, input_dim: int, seed: int) -> NetParam
     return NetParams(np.column_stack([A, b]), c)
 
 
-@dataclass(frozen=True)
-class RestartRecord:
-    restart: int
-    init_seed: int
-    test_error: float
-    final_train_loss: float
-
-
-def multi_restart(n_nodes: int, train_set: Dataset, val_set: Dataset | None,
-                  test_set: Dataset, cfg: TrainConfig, init_seed: int,
-                  n_restarts: int) -> tuple[ShallowNetwork, list[RestartRecord], np.ndarray]:
-    """Best-of-n randomly initialized training runs.
+def multi_restart(n_nodes: int, train_set: Dataset, cfg: TrainConfig, init_seed: int,
+                  n_restarts: int) -> tuple[list[ShallowNetwork], np.ndarray]:
+    """Randomly initialized training runs, for the caller to choose among.
 
     Restart r draws its init from seed init_seed + r; all restarts train in
     one ``train_params`` call, stacked on a restart axis if n_restarts > 1.
-    Returns the network with the lowest test RMSE, the per-restart table,
-    and the best run's loss curve.
+    Returns each restart's network and their loss curves, (n_restarts, epochs).
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
@@ -241,17 +231,10 @@ def multi_restart(n_nodes: int, train_set: Dataset, val_set: Dataset | None,
     params = inits[0] if n_restarts == 1 else NetParams(np.stack([p.W for p in inits]),
                                                           np.stack([p.c for p in inits]))
     params, curves = train_params(params, train_set, cfg)
-    best_err, best_net, best_curve, records = np.inf, None, None, []
-    sqrt_n = np.sqrt(test_set.n_points)
     shape = (n_restarts, n_nodes)
-    for r, (W, c, curve) in enumerate(zip(params.W.reshape(*shape, train_set.dim + 1),
-                                          params.c.reshape(shape), curves.reshape(n_restarts, cfg.epochs))):
-        net = params_to_network(NetParams(W, c), train_set.dim)
-        err = float(np.linalg.norm(batch_eval(net, test_set.inputs) - test_set.targets) / sqrt_n)
-        records.append(RestartRecord(r, init_seed + r, err, float(curve[-1]) if curve.size else float("nan")))
-        if err < best_err:
-            best_err, best_net, best_curve = err, net, curve
-    return best_net, records, best_curve
+    nets = [params_to_network(NetParams(W, c), train_set.dim)
+            for W, c in zip(params.W.reshape(*shape, train_set.dim + 1), params.c.reshape(shape))]
+    return nets, curves.reshape(n_restarts, cfg.epochs)
 
 
 def save_loss_csv(curve: np.ndarray, path) -> None:

@@ -162,6 +162,26 @@ def test_baseline_node_count_matches_selection():
     assert len(r.random_restarts) == cfg.n_restarts
 
 
+def test_baseline_selects_its_restart_on_validation():
+    # the restart of lowest validation RMSE: test targets of NaN leave the choice, and
+    # so the network and its loss curve, as they are; test errors are computed after it
+    cfg = tiny_config(n_restarts=4)
+    base = run_gsn_pipeline(cfg)
+    n = greedy.select_model(base.path)
+    blind = replace(base.test_set)
+    object.__setattr__(blind, "targets", np.full(blind.n_points, np.nan))
+    seen, unseen = run_size(cfg, base, n), run_size(cfg, replace(base, test_set=blind), n)
+    val = [row["val_rmse"] for row in seen.random_restarts]
+    assert [row["val_rmse"] for row in unseen.random_restarts] == val
+    assert compute_errors(seen.random_net, base.val_set).rmse == min(val)
+    for got, want in ((unseen.random_net.directions, seen.random_net.directions),
+                      (unseen.random_net.weights, seen.random_net.weights),
+                      (unseen.random_loss_curve, seen.random_loss_curve)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert seen.random_restarts[int(np.argmin(val))]["test_rmse"] == seen.random_trained.rmse
+    assert np.isnan(unseen.random_trained.rmse)
+
+
 def test_baseline_untrained_error_is_large():
     cfg = tiny_config(random_train=TrainConfig(epochs=0, batch_size=4, seed=1),
                       n_restarts=1)

@@ -522,6 +522,8 @@ def test_report_command(tmp_path, capsys):
     assert run_cli("report", str(runs[0])) == 0
     out = capsys.readouterr().out
     assert "gsn_init" in out and "rel_l2" in out
+    row = manifest_in(tmp_path)["results"]["random_restarts"][0]
+    assert f"restart 0: val_rmse={row['val_rmse']:.4e} test_rmse={row['test_rmse']:.4e} " in out
 
 
 @pytest.mark.parametrize("doc", [
