@@ -12,7 +12,7 @@ import pytest
 
 from gsn import bench, cli
 from gsn.bench import PipelineError
-from gsn.core import Dataset
+from gsn.core import BLOCK_BUDGET, Dataset
 from gsn.ridgelet import CollapsedField, load_field_csv, prune_dictionary, save_field_csv
 from gsn.sampling import (DictionaryRows, build_dictionary, load_dataset_csv,
                           load_directions_csv, read_dictionary_csv, save_dataset_csv,
@@ -375,8 +375,9 @@ def test_bench_run_is_the_same_at_any_thread_count(tmp_path):
     for name, fields in (("a", {"threads": 1}), ("b", {"threads": 3}), ("c", {})):
         out = tmp_path / name
         out.mkdir()
+        config = write_tiny_config(out, dict_size=12_000, **fields)
         assert run_cli("bench", "ex1", "--seed", "0", "--epochs", "2", "--restarts", "1", "--out", str(out),
-                       "--config", str(write_tiny_config(out, **fields))) == 0
+                       "--config", str(config)) == 0
         (run_dir,) = [p for p in out.iterdir() if p.is_dir()]
         runs.append(run_dir)
     assert len({run_dir.name for run_dir in runs}) == 1
@@ -384,8 +385,11 @@ def test_bench_run_is_the_same_at_any_thread_count(tmp_path):
     assert [m["meta"]["threads"] for m in manifests] == [1, 3, len(os.sched_getaffinity(0))]
     assert all(bench.strip_meta(m) == bench.strip_meta(manifests[0]) for m in manifests)
     assert "threads" not in manifests[0]["config"]
+    # the field's live rows fill more than one chunk of 16-point rows, so above one
+    # worker the chunks run on threads
+    assert manifests[0]["results"]["dictionary_size_before_prune"] > BLOCK_BUDGET // 16
     names = sorted(p.name for p in runs[0].iterdir())
-    assert "field.csv" in names  # pruning on: the field ran on each thread count
+    assert "field.csv" in names
     for run_dir in runs[1:]:
         assert sorted(p.name for p in run_dir.iterdir()) == names
         for name in names:
