@@ -332,14 +332,18 @@ assert cli.main(["greedy", *c, *t, "--val", s + "/val.csv", "--dict", s + "/prun
 """
 
 
+def src_env() -> dict:
+    """The environment with the package's source directory first on PYTHONPATH, for a gsn subprocess."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_pipeline_runs_without_scipy(tmp_path):
     # the runtime needs numpy alone: importing the CLI loads no scipy module,
     # and bench with pruning on and the staged ridgelet and greedy stages run
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path),
                            str(write_tiny_config(tmp_path))],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     results = manifest_in(tmp_path / "bench")["results"]
     assert results["dictionary_size_after_prune"] < results["dictionary_size_before_prune"]
@@ -419,11 +423,9 @@ def test_config_file_threads_sets_only_the_worker_count(tmp_path):
 def test_bench_worker_count_follows_taskset(tmp_path):
     # taskset limits the CPUs the process may use, and with them its worker count,
     # which os.cpu_count() would not see
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cpu = str(min(os.sched_getaffinity(0)))
     proc = subprocess.run(["taskset", "-c", cpu, sys.executable, "-m", "gsn.cli", *bench_args(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert manifest_in(tmp_path)["meta"]["threads"] == 1
 
