@@ -1,6 +1,6 @@
 """Benchmark targets, experiment orchestration, metrics, and manifests.
 
-Six closed-form targets (ex1..ex6) with per-target default budgets; a full
+Six closed-form targets (ex1..ex6), each with its budget in one table, EXAMPLES; a full
 pipeline run produces a JSON manifest plus CSV curves in a directory named
 by the config hash, and re-running the same config reproduces every number
 from the embedded seeds.
@@ -77,23 +77,44 @@ def _ex6(X):
     return np.cos((X * X).sum(axis=1)) / np.exp(X.sum(axis=1))
 
 
-def target_registry() -> list[TargetFunction]:
-    box11 = (-1.0, 1.0)
-    return [
-        TargetFunction("ex1", 1, (box11,), "cos(2*pi*x) * exp(x)", _ex1),
-        TargetFunction("ex2", 1, (box11,), "sin(2*pi*x)*exp(-x^2) + cos(17x)*exp(x)", _ex2),
-        TargetFunction("ex3", 2, (box11, box11), "sin(pi*x)*cos(pi*y)*exp(-(x^2+y^2))", _ex3),
-        TargetFunction("ex4", 2, (box11, box11), "cos(5(x+y))*sin(3(x-y))*exp(-(x^2+y^2))", _ex4),
-        TargetFunction("ex5", 4, (box11,) * 4, "sin(2*pi*(x1+x2+x3+x4))", _ex5),
-        TargetFunction("ex6", 5, ((0.0, 1.0),) * 5, "cos(sum(x_i^2)) / exp(sum(x_i))", _ex6),
-    ]
+@dataclass(frozen=True)
+class Example:
+    """A row of EXAMPLES: one of the paper's targets and each budget value that differs between examples."""
+    target: TargetFunction
+    n_train: int
+    n_val: int
+    n_test: int
+    gsn_batch: int
+    random_batch: int
+    max_iter: int
+    n_restarts: int
+    prune: bool
+    node_counts: tuple | None = None  # the sizes of a node-count sweep
+    notes: tuple = ()
+
+
+EXAMPLES = {row.target.id: row for row in (
+    Example(TargetFunction("ex1", 1, ((-1.0, 1.0),), "cos(2*pi*x) * exp(x)", _ex1),
+            50, 15, 1_000, 50, 1, 50, 10, True),
+    Example(TargetFunction("ex2", 1, ((-1.0, 1.0),), "sin(2*pi*x)*exp(-x^2) + cos(17x)*exp(x)", _ex2),
+            100, 20, 1_000, 100, 1, 60, 10, True),
+    Example(TargetFunction("ex3", 2, ((-1.0, 1.0),) * 2, "sin(pi*x)*cos(pi*y)*exp(-(x^2+y^2))", _ex3),
+            256, 50, 10_000, 256, 3, 80, 10, True),
+    Example(TargetFunction("ex4", 2, ((-1.0, 1.0),) * 2, "cos(5(x+y))*sin(3(x-y))*exp(-(x^2+y^2))", _ex4),
+            1_024, 200, 10_000, 1_024, 11, 120, 10, True),
+    Example(TargetFunction("ex5", 4, ((-1.0, 1.0),) * 4, "sin(2*pi*(x1+x2+x3+x4))", _ex5),
+            4_000, 400, 10_000, 4_000, 11, 150, 10, False,
+            notes=("batch sizes are an unstated-default guess: full-batch for the "
+                   "greedy-initialized branch, 11 for the random branch",)),
+    Example(TargetFunction("ex6", 5, ((0.0, 1.0),) * 5, "cos(sum(x_i^2)) / exp(sum(x_i))", _ex6),
+            10_000, 1_000, 10_000, 100, 100, 160, 5, False, node_counts=(10, 20, 40, 80, 160)),
+)}
+
+EXAMPLE_IDS = tuple(EXAMPLES)
 
 
 def get_target(target_id: str) -> TargetFunction:
-    for t in target_registry():
-        if t.id == target_id:
-            return t
-    raise KeyError(f"unknown target id {target_id!r}")
+    return EXAMPLES[target_id].target
 
 
 @dataclass(frozen=True)
@@ -102,10 +123,6 @@ class ErrorSummary:
     rmse: float
     rel_l2: float
     rel_l2_defined: bool = True
-
-    def as_dict(self) -> dict:
-        return {"abs_l2": self.abs_l2, "rmse": self.rmse,
-                "rel_l2": self.rel_l2, "rel_l2_defined": self.rel_l2_defined}
 
 
 def compute_errors(net: ShallowNetwork, test_set: Dataset) -> ErrorSummary:
@@ -127,22 +144,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     target_id: str
     n_train: int
     n_val: int
     n_test: int
     dict_size: int
-    prune: bool = True
+    prune: bool
     prune_threshold: float = 1e-3
     drop_tol: float = 1e-12
-    max_iter: int = 50
+    max_iter: int
     n_nodes: int | None = None      # overrides validation-based selection when set
-    node_counts: tuple | None = None  # the sizes of a node-count sweep (ex6)
-    gsn_train: TrainConfig = field(default_factory=TrainConfig)
-    random_train: TrainConfig = field(default_factory=TrainConfig)
-    n_restarts: int = 10
+    node_counts: tuple | None = None  # the sizes of a node-count sweep
+    gsn_train: TrainConfig
+    random_train: TrainConfig
+    n_restarts: int
     seed: int = 0
     quad_r_max: float = 40.0
     threads: int = field(default_factory=_usable_cpus)  # worker threads: in meta, not in to_dict()
@@ -186,49 +203,16 @@ class ExperimentConfig:
                 for k, v in asdict(self).items() if k != "threads"}
 
 
-# Per-target default budgets: (n_train, n_val, n_test, gsn_batch, random_batch,
-# max_iter, n_restarts, prune). Dictionary size defaults to 10000 * d.
-_DEFAULTS = {
-    "ex1": (50, 15, 1_000, 50, 1, 50, 10, True),
-    "ex2": (100, 20, 1_000, 100, 1, 60, 10, True),
-    "ex3": (256, 50, 10_000, 256, 3, 80, 10, True),
-    "ex4": (1_024, 200, 10_000, 1_024, 11, 120, 10, True),
-    "ex5": (4_000, 400, 10_000, 4_000, 11, 150, 10, False),
-    "ex6": (10_000, 1_000, 10_000, 100, 100, 160, 5, False),
-}
-
-EX6_SWEEP_DEFAULT = (10, 20, 40, 80, 160)
-
-EXAMPLE_IDS = tuple(_DEFAULTS)
-
-
 def default_config(target_id: str, seed: int = 0, **overrides) -> ExperimentConfig:
-    """Canonical per-target configuration, overridable field by field."""
-    if target_id not in _DEFAULTS:
-        raise KeyError(f"unknown target id {target_id!r}")
-    n_train, n_val, n_test, gsn_batch, rnd_batch, max_iter, n_restarts, prune = _DEFAULTS[target_id]
+    """The example's row of EXAMPLES as a config, overridable field by field."""
+    ex = EXAMPLES[target_id]
     shuffle_seed = sampling.substream_seed(seed, "shuffle")
-    notes = ()
-    if target_id == "ex5":
-        notes = ("batch sizes are an unstated-default guess: full-batch for the "
-                 "greedy-initialized branch, 11 for the random branch",)
-    kwargs = dict(
-        target_id=target_id,
-        n_train=n_train,
-        n_val=n_val,
-        n_test=n_test,
-        dict_size=10_000 * get_target(target_id).dimension,
-        prune=prune,
-        max_iter=max_iter,
-        gsn_train=TrainConfig(epochs=10_000, batch_size=gsn_batch, seed=shuffle_seed),
-        random_train=TrainConfig(epochs=10_000, batch_size=rnd_batch, seed=shuffle_seed),
-        n_restarts=n_restarts,
-        seed=seed,
-        node_counts=EX6_SWEEP_DEFAULT if target_id == "ex6" else None,
-        notes=notes,
-    )
-    kwargs.update(overrides)
-    return ExperimentConfig(**kwargs)
+    return replace(ExperimentConfig(
+        target_id=target_id, n_train=ex.n_train, n_val=ex.n_val, n_test=ex.n_test,
+        dict_size=10_000 * ex.target.dimension, prune=ex.prune, max_iter=ex.max_iter,
+        gsn_train=TrainConfig(batch_size=ex.gsn_batch, seed=shuffle_seed),
+        random_train=TrainConfig(batch_size=ex.random_batch, seed=shuffle_seed),
+        n_restarts=ex.n_restarts, seed=seed, node_counts=ex.node_counts, notes=ex.notes), **overrides)
 
 
 def _grid_compatible(n_points: int, dimension: int) -> bool:
@@ -253,7 +237,7 @@ def make_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
                                         "random-uniform", purpose="validation")
     n_test = cfg.n_test
     test_layout = "random-uniform"
-    if _grid_compatible(cfg.n_test, target.dimension) or target.dimension <= 2:
+    if target.dimension <= 2:
         per_axis = round(cfg.n_test ** (1.0 / target.dimension))
         n_test = per_axis**target.dimension
         test_layout = "grid"
@@ -344,8 +328,7 @@ class SizeRun:
     random_trained: ErrorSummary
 
     def errors(self) -> dict:
-        return {"gsn_init": self.gsn_init.as_dict(), "gsn_trained": self.gsn_trained.as_dict(),
-                "random_trained": self.random_trained.as_dict()}
+        return {name: asdict(getattr(self, name)) for name in ("gsn_init", "gsn_trained", "random_trained")}
 
 
 def run_size(cfg: ExperimentConfig, base: Construction, n: int) -> SizeRun:
@@ -503,20 +486,20 @@ def config_from_dict(doc: dict, target_id: str | None = None,
     The document is laid over ``default_config(target_id, seed)``; the
     arguments win over its own ``target_id`` and ``seed``, and an explicit
     ``seed`` re-derives both shuffle seeds too. Keys and JSON types are
-    checked here, and that ex6, and only ex6, sweeps ``node_counts``; values
-    are checked by the dataclasses. A ``threads`` key sets the worker count.
-    Every fault raises ValueError.
+    checked here, and that ``node_counts`` is set just where the example's row
+    sets it; values are checked by the dataclasses. A ``threads`` key sets the
+    worker count. Every fault raises ValueError.
     """
     target_id = target_id or doc.get("target_id")
-    if target_id not in _DEFAULTS:
-        raise ValueError(f"unknown example id {target_id!r}: give one of {', '.join(_DEFAULTS)} "
+    if target_id not in EXAMPLES:
+        raise ValueError(f"unknown example id {target_id!r}: give one of {', '.join(EXAMPLES)} "
                          "as the config's target_id or on the command line")
     master_seed = _json_value("seed", int, doc.get("seed", 0)) if seed is None else seed
     base = default_config(target_id, seed=master_seed)
     cfg = _laid_over(base, {k: v for k, v in doc.items() if k != "target_id"})
-    if (cfg.node_counts is None) == (target_id == "ex6"):
-        raise ValueError("config field 'node_counts' sets the sizes of the ex6 sweep; "
-                         f"{target_id} takes {'a list' if target_id == 'ex6' else 'none'}")
+    if (cfg.node_counts is None) != (base.node_counts is None):
+        raise ValueError("config field 'node_counts' sets the sizes of a node-count sweep; "
+                         f"{target_id} takes {'none' if base.node_counts is None else 'a list'}")
     if seed is not None:
         cfg = replace(cfg, seed=seed, gsn_train=replace(cfg.gsn_train, seed=base.gsn_train.seed),
                       random_train=replace(cfg.random_train, seed=base.random_train.seed))

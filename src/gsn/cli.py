@@ -103,18 +103,15 @@ def build_experiment_config(args) -> bench.ExperimentConfig:
 
 
 def _stage_config(args) -> bench.ExperimentConfig:
-    """A stage's config: its --config file, else the ExperimentConfig defaults (the example
-    and sizes are placeholders), with the stage's flags (``args.flags``)."""
-    cfg = (load_experiment_config(args.config) if args.config else
-           bench.ExperimentConfig(bench.EXAMPLE_IDS[0], 1, 1, 1, 1))
-    return _with_flags(cfg, args, args.flags)
+    """A stage's config: its --config file, else the first example's defaults."""
+    return load_experiment_config(args.config) if args.config else bench.default_config(bench.EXAMPLE_IDS[0])
 
 
 def cmd_bench(args) -> int:
     cfg = build_experiment_config(args)
     check_dictionary_fits(cfg.n_train, cfg.dict_size)
     os.makedirs(args.out, exist_ok=True)
-    if cfg.target_id == "ex6":  # a node-count sweep
+    if cfg.node_counts is not None:
         run_dir = bench.write_sweep_artifacts(bench.node_sweep(cfg), args.out)
     else:
         run_dir = bench.write_run_artifacts(bench.run_experiment(cfg), args.out)
@@ -137,7 +134,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_dict(args) -> int:
-    cfg = _stage_config(args)
+    cfg = _with_flags(_stage_config(args), args, args.flags)
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     directions = _load(sampling.load_directions_csv, args.directions, "directions", train_set.dim)
     try:
@@ -150,7 +147,7 @@ def cmd_dict(args) -> int:
 
 
 def cmd_ridgelet(args) -> int:
-    cfg = _stage_config(args)
+    cfg = _with_flags(_stage_config(args), args, args.flags)
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     rows = _load(sampling.read_dictionary_csv, args.dict, "dictionary", train_set.dim)
     fld = ridgelet.collapsed_field(train_set, rows.directions, cfg.quadrature, threads=cfg.threads)
@@ -160,7 +157,7 @@ def cmd_ridgelet(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    cfg = _stage_config(args)
+    cfg = _with_flags(_stage_config(args), args, args.flags)
     fld = _load(ridgelet.load_field_csv, args.field, "field")
     rows = _load(sampling.read_dictionary_csv, args.dict, "dictionary")
     if not np.array_equal(fld.directions, rows.directions):
@@ -173,7 +170,7 @@ def cmd_prune(args) -> int:
 
 
 def cmd_greedy(args) -> int:
-    cfg = _stage_config(args)
+    cfg = _with_flags(_stage_config(args), args, args.flags)
     train_set = _load(sampling.load_dataset_csv, args.train, "training set")
     val_set = _load(sampling.load_dataset_csv, args.val, "validation set")
     rows = _load(sampling.read_dictionary_csv, args.dict, "dictionary", train_set.dim)
@@ -226,12 +223,10 @@ def cmd_train(args) -> int:
     if net0.input_dim != train_set.dim:
         raise CliError(f"network {args.network} has input dimension {net0.input_dim}; "
                        f"the training set has {train_set.dim}")
-    if args.config:
-        base = load_experiment_config(args.config).gsn_train
-    else:  # full batch, shuffled from the default master seed
-        base = train.TrainConfig(batch_size=train_set.n_points, seed=sampling.substream_seed(
-            bench.ExperimentConfig.seed, "shuffle"))
-    cfg = _with_flags(base, args, args.flags)
+    cfg = _stage_config(args).gsn_train
+    if not args.config:  # full batch
+        cfg = replace(cfg, batch_size=train_set.n_points)
+    cfg = _with_flags(cfg, args, args.flags)
     if args.seed is not None:
         try:
             cfg = replace(cfg, seed=sampling.substream_seed(args.seed, "shuffle"))

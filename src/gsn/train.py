@@ -33,10 +33,10 @@ INIT_STDDEV = 0.05
 INIT_TRUNCATION = 2.0  # in units of INIT_STDDEV
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrainConfig:
     epochs: int = 10_000
-    batch_size: int = 32
+    batch_size: int
     initial_lr: float = 1e-3
     decay_rate: float = 4.6e-4
     seed: int = 0

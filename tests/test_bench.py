@@ -24,7 +24,6 @@ from gsn.bench import (
     run_gsn_pipeline,
     run_size,
     strip_meta,
-    target_registry,
     write_run_artifacts,
     write_sweep_artifacts,
 )
@@ -47,7 +46,7 @@ def tiny_config(**overrides):
 
 
 def test_registry_contents():
-    targets = target_registry()
+    targets = [ex.target for ex in bench.EXAMPLES.values()]
     assert [t.id for t in targets] == ["ex1", "ex2", "ex3", "ex4", "ex5", "ex6"]
     dims = {t.id: t.dimension for t in targets}
     assert dims == {"ex1": 1, "ex2": 1, "ex3": 2, "ex4": 2, "ex5": 4, "ex6": 5}
@@ -116,10 +115,25 @@ def test_default_config_tables():
         default_config("nope")
 
 
+def test_paper_default_run_names():
+    # tests/golden/desk.json pins only the desk configs, which override n_train, dict_size,
+    # epochs and n_restarts; the hash of each default config pins every value of its row
+    got = {ex: tuple(bench.config_hash(default_config(ex, seed).to_dict()) for seed in (0, 7))
+           for ex in bench.EXAMPLE_IDS}
+    assert got == {
+        "ex1": ("0547fb7b94f1", "1f444bda2757"),
+        "ex2": ("555ba47649a7", "ee4e198f3c59"),
+        "ex3": ("bc0d981d11ab", "4179096cd2cf"),
+        "ex4": ("c4d9f6517b7b", "e97f741f605b"),
+        "ex5": ("80835d13f6b8", "28295ad3f118"),
+        "ex6": ("c9c2687fcebd", "7ebf7f4cbd85"),
+    }
+
+
 def test_default_worker_count_is_the_usable_cpus():
     # the affinity set, which taskset and cgroup cpusets limit and os.cpu_count() ignores
     usable = len(os.sched_getaffinity(0))
-    assert ExperimentConfig("ex1", 1, 1, 1, 1).threads == usable
+    assert tiny_config().threads == usable
     assert default_config("ex3").threads == usable
 
 
@@ -394,7 +408,7 @@ from gsn.train import TrainConfig
 
 out = sys.argv[1]
 cfg = bench.ExperimentConfig(target_id="ex3", n_train=16, n_val=6, n_test=64, dict_size=200,
-                             max_iter=8, gsn_train=TrainConfig(epochs=3, batch_size=16, seed=1),
+                             prune=True, max_iter=8, gsn_train=TrainConfig(epochs=3, batch_size=16, seed=1),
                              random_train=TrainConfig(epochs=3, batch_size=4, seed=1),
                              n_restarts=2, seed=0)
 report = bench.run_experiment(cfg)

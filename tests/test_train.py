@@ -117,10 +117,10 @@ def test_empty_batch_rejected(rng):
 
 
 def test_lr_schedule():
-    cfg = TrainConfig(initial_lr=1e-3, decay_rate=4.6e-4)
+    cfg = TrainConfig(batch_size=1, initial_lr=1e-3, decay_rate=4.6e-4)
     assert lr_at(0, cfg) == pytest.approx(1e-3)
     assert lr_at(10_000, cfg) == pytest.approx(1e-3 * math.exp(-4.6), rel=1e-12)
-    flat = TrainConfig(initial_lr=1e-3, decay_rate=0.0)
+    flat = TrainConfig(batch_size=1, initial_lr=1e-3, decay_rate=0.0)
     assert lr_at(123, flat) == 1e-3
 
 
